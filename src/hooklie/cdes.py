@@ -108,12 +108,16 @@ def descent_distribution(mu, n_limit: int = DEFAULT_N_LIMIT) -> DescentDistribut
     """Des-fiber sizes over the full conjugacy class of mu."""
     mu = _check_class(mu, n_limit)
     fibers: Dict[int, int] = {}
-    total = 0
     for pi in conjugacy_class(mu):
         d = descent_set(pi)
         fibers[d] = fibers.get(d, 0) + 1
-        total += 1
-    if total != class_size(mu):
+    return _checked_distribution(mu, fibers)
+
+
+def _checked_distribution(
+    mu: Tuple[int, ...], fibers: Dict[int, int]
+) -> DescentDistribution:
+    if sum(fibers.values()) != class_size(mu):
         raise ArithmeticError(f"class size mismatch for {mu}")
     return DescentDistribution(sum(mu), fibers)
 
@@ -176,15 +180,15 @@ def construct_extension(
     """
     mu = _check_class(mu, n_limit)
     n = sum(mu)
-    dist = descent_distribution(mu, n_limit)
+    by_des: Dict[int, list] = {}
+    for pi in conjugacy_class(mu):  # lexicographic
+        by_des.setdefault(descent_set(pi), []).append(pi)
+    dist = _checked_distribution(mu, {d: len(elems) for d, elems in by_des.items()})
     sol = solve_extension(dist)
     if isinstance(sol, Infeasible):
         note = _escher_note(mu)
         return Infeasible(sol.reason, sol.subset, note) if note else sol
     top = 1 << (n - 1)
-    by_des: Dict[int, list] = {}
-    for pi in conjugacy_class(mu):  # lexicographic
-        by_des.setdefault(descent_set(pi), []).append(pi)
     cdes: Dict[Tuple[int, ...], int] = {}
     by_cdes: Dict[int, list] = {}
     for d, elems in by_des.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations as _one_line_perms
+from itertools import combinations
 from typing import Iterator
 
 __all__ = [
@@ -194,14 +194,84 @@ def cycle_type(pi) -> tuple[int, ...]:
 
 
 def conjugacy_class(mu) -> Iterator[tuple[int, ...]]:
-    """All permutations of cycle type mu, lexicographic in one-line notation."""
+    """All permutations of cycle type mu, lexicographic in one-line notation.
+
+    The class is generated directly rather than filtered out of S_n, so
+    the cost is proportional to the class size (a few search steps per
+    element) and memory is O(n).  mu is checked when this is called; the
+    elements come lazily, in the same order as filtering
+    itertools.permutations would give.
+    """
     mu = _check_partition(mu)
     if not mu:
         raise ValueError("mu must be a partition of n >= 1")
+    return _class_elements(mu)
+
+
+def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    # Depth-first search filling pi(1), pi(2), ... with the free values in
+    # increasing order.  The values set so far split [n] into closed cycles
+    # and open paths a -> pi(a) -> ... -> b with pi(b) unset (a lone element
+    # is a path of length 1): the position i being filled is the tail of
+    # its path and every free value is the head of one.  pi(i) = v closes
+    # a cycle when v heads i's own path and joins two paths otherwise; v is
+    # pruned when that cycle length is no longer needed or the joined path
+    # would be longer than every cycle still needed.
     n = sum(mu)
-    for pi in _one_line_perms(range(1, n + 1)):
-        if cycle_type(pi) == mu:
-            yield pi
+    need = [0] * (n + 1)  # need[k]: cycles of length k still to close
+    for part in mu:
+        need[part] += 1
+    longest = mu[0]  # largest k with need[k] > 0
+    head = list(range(n + 1))  # head[t]: first element of the path ending at t
+    tail = list(range(n + 1))  # tail[h]: last element of the path starting at h
+    size = [1] * (n + 1)  # size[h]: number of elements on the path starting at h
+    free = [True] * (n + 1)
+    pi = [0] * n
+    i, v = 1, 1  # the position being filled and the next value to try there
+    while True:
+        h = head[i]
+        ln = size[h]
+        if i == n:
+            # one path is left and its head is the one free value
+            if need[ln]:
+                pi[-1] = h
+                yield tuple(pi)
+            v = n + 1
+        else:
+            while v <= n and not (
+                free[v] and (need[ln] if v == h else ln + size[v] <= longest)
+            ):
+                v += 1
+        if v <= n:
+            pi[i - 1] = v
+            free[v] = False
+            if v == h:
+                need[ln] -= 1
+                while not need[longest]:
+                    longest -= 1
+            else:
+                t = tail[v]
+                tail[h] = t
+                head[t] = h
+                size[h] = ln + size[v]
+            i, v = i + 1, 1
+            continue
+        # every value at position i is done: undo pi(i - 1), try the next one
+        i -= 1
+        if not i:
+            return
+        v = pi[i - 1]
+        free[v] = True
+        h = head[i]
+        if v == h:
+            ln = size[h]
+            need[ln] += 1
+            longest = max(longest, ln)
+        else:
+            size[h] -= size[v]
+            tail[h] = i
+            head[tail[v]] = v
+        v += 1
 
 
 def descent_set(pi) -> int:

@@ -162,11 +162,30 @@ def test_four_cycles_of_s4():
 
 
 def test_conjugacy_class_agrees_with_cycle_type_filter():
-    for n in range(1, 7):
+    # the exact sequence, order included, of filtering S_n by cycle type
+    for n in range(1, 8):
         for mu in partition_list(n):
-            members = tuple(conjugacy_class(mu))
-            assert len(members) == class_size(mu)
-            assert all(cycle_type(pi) == mu for pi in members)
+            expected = [
+                pi for pi in permutations(range(1, n + 1)) if cycle_type(pi) == mu
+            ]
+            assert list(conjugacy_class(mu)) == expected
+
+
+def test_conjugacy_class_validates_when_called():
+    # bad input raises at the call, before anything is iterated
+    for bad in [(2, 3), (), (0,), (2, -1), (1.5,)]:
+        with pytest.raises(ValueError):
+            conjugacy_class(bad)
+
+
+def test_conjugacy_class_reaches_n_12():
+    # filtering all of S_12 would scan 12! ~ 4.8e8 permutations
+    assert list(conjugacy_class((1,) * 12)) == [tuple(range(1, 13))]
+    members = list(conjugacy_class((2,) * 6))
+    assert len(members) == class_size((2,) * 6) == 10395
+    assert all(a < b for a, b in zip(members, members[1:]))
+    for pi in members:
+        assert all(pi[pi[i] - 1] == i + 1 and pi[i] != i + 1 for i in range(12))
 
 
 # -- descent sets and masks --------------------------------------------------
