@@ -310,9 +310,13 @@ _HL_CACHE: Dict[tuple[int, ...], ClassFunction] = {}
 
 
 def _higher_lie_cached(mu: tuple[int, ...], guard: int) -> ClassFunction:
+    # the guard holds for cached characters too, so a call's outcome does
+    # not depend on what earlier calls computed
     hit = _HL_CACHE.get(mu)
     if hit is None:
         hit = _HL_CACHE[mu] = higher_lie_character(mu, guard)
+    elif (z := centralizer_order(mu)) > guard:
+        raise GuardExceeded(f"centralizer order {z} exceeds guard {guard}")
     return hit
 
 

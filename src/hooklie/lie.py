@@ -1,11 +1,13 @@
 """Closed formulas for hook constituents of higher Lie characters.
 
 Everything is driven by the Witt coefficients f_0..f_r of a part size r:
-the column-plus-row multiplicities e_i come from a sum over restricted
-partitions with parity-twisted binomials, the hook multiplicities m_k are
-their partial alternating sums, and the certificate d_k decides whether
-the class carries a cyclic descent extension.  Each quantity is computed
-along two independent routes and cross-checked where feasible.
+the column-plus-row multiplicities e_i come from one exact product over
+part sizes with parity-twisted binomial coefficients, the hook
+multiplicities m_k are their partial alternating sums, and the
+certificate d_k decides whether the class carries a cyclic descent
+extension.  The Witt coefficients are cross-checked against the generic
+Witt transform at every r; the hook multiplicities of small rectangles
+against the character oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Tuple, Union
 
 from . import characters
 from .combinat import centralizer_order, divisors, is_partition, is_squarefree, moebius
-from .series import BiSeries, IntPolynomial, binomial_power, reciprocal_power, witt_transform
+from .series import BiSeries, IntPolynomial, witt_transform
 
 __all__ = [
     "NoExtension",
@@ -36,10 +38,6 @@ __all__ = [
     "hook_profile",
     "subset_sum_count",
 ]
-
-# generic-polynomial cross-check of the Witt coefficient formula is gated
-# to keep large-r scans inside their time budget
-_POLY_CHECK_MAX = 64
 
 # rectangular classes small enough to cross-check against the character oracle
 _ORACLE_CHECK_MAX = 100_000
@@ -64,8 +62,8 @@ def witt_coeffs(r: int) -> Tuple[int, ...]:
     of moebius(d) * (-1)^(j + j/d) * binom(r/d, j/d).
 
     Equivalently the coefficients of the Witt transform of 1-x taken at
-    -x; for r <= 64 that second, generic-polynomial route is computed
-    too and any mismatch aborts.
+    -x; that second, generic-polynomial route is computed at every r and
+    any mismatch aborts.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -86,25 +84,40 @@ def witt_coeffs(r: int) -> Tuple[int, ...]:
         raise ArithmeticError(f"f_1 = {f[1]} != 1 at r={r}")
     if f[0] != (1 if r == 1 else 0):
         raise ArithmeticError(f"f_0 = {f[0]} wrong at r={r}")
-    if r <= _POLY_CHECK_MAX:
-        check = witt_transform(IntPolynomial((1, -1)), r).reflect()
-        if check != IntPolynomial(f):
-            raise ArithmeticError(f"Witt coefficient routes disagree at r={r}")
+    if witt_transform(IntPolynomial((1, -1)), r).reflect() != IntPolynomial(f):
+        raise ArithmeticError(f"Witt coefficient routes disagree at r={r}")
     return tuple(f)
 
 
-def _parity_binomials(f: Tuple[int, ...], s: int) -> list:
-    """B[j][k] = binom(f_j + (k-1)[j even], k): the number of ways to use
-    the part size j exactly k times (even sizes repeat with multiplicity)."""
-    table = []
+def _column_row_table(r: int, s_max: int) -> list:
+    """Coefficient lists of y^0..y^s_max in the product over part sizes j
+    of sum_k B_j(k) x^(jk) y^k, with B_j(k) = binom(f_j, k) for odd j and
+    binom(f_j + k - 1, k) for even j (even sizes repeat with multiplicity).
+
+    Entry i of row s is e_i for the class (r^s); rows may be shorter than
+    rs + 1 when their top coefficients vanish.
+    """
+    f = witt_coeffs(r)
+    rows = [[1]] + [[] for _ in range(s_max)]
     for j, fj in enumerate(f):
-        bump = 1 if j % 2 == 0 else 0
-        # k = 0 is the empty choice (1 way) even when f_j = 0 would make
-        # the multichoose upper index negative.
-        table.append(
-            [1] + [math.comb(fj + (k - 1) * bump, k) for k in range(1, s + 1)]
-        )
-    return table
+        if fj == 0:
+            continue
+        bump = 1 - j % 2
+        B = [math.comb(fj + (k - 1) * bump, k) for k in range(s_max + 1)]
+        # top row first, so rows[s - k] still holds the product without j
+        for s in range(s_max, 0, -1):
+            acc = rows[s]
+            for k in range(1, s + 1):
+                src = rows[s - k]
+                c = B[k]
+                if not (src and c):
+                    continue
+                shift = j * k
+                if len(acc) < shift + len(src):
+                    acc.extend([0] * (shift + len(src) - len(acc)))
+                for i, v in enumerate(src, shift):
+                    acc[i] += c * v
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -112,36 +125,13 @@ def column_row_mults(r: int, s: int) -> Tuple[int, ...]:
     """Multiplicities e_0..e_(rs) of the column-plus-row characters
     chi^((1^k) + (n-k)) in the higher Lie character of the class (r^s).
 
-    Sum over partitions gamma of i into exactly s parts from {0..r} of
-    the product of parity-twisted binomials; parts equal to 0 only ever
-    contribute when r = 1 (otherwise binom(k_0 - 1, k_0) = 0), so the
-    enumeration pads with zeros once instead of generating them.
+    Row s of the product over part sizes (see column_row_series), padded
+    to length rs + 1.
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    f = witt_coeffs(r)
-    B = _parity_binomials(f, s)
-    B0 = B[0]
-    e = [0] * (r * s + 1)
-
-    def rec(vmax: int, slots: int, weight: int, prod: int) -> None:
-        z = B0[slots]
-        if z:
-            e[weight] += prod * z
-        for v in range(vmax, 0, -1):
-            Bv = B[v]
-            w = weight
-            for k in range(1, slots + 1):
-                w += v
-                p = prod * Bv[k]
-                if p:
-                    if k == slots:
-                        e[w] += p
-                    else:
-                        rec(v - 1, slots - k, w, p)
-
-    rec(r, s, 0, 1)
-    return tuple(e)
+    e = _column_row_table(r, s)[s]
+    return tuple(e) + (0,) * (r * s + 1 - len(e))
 
 
 @lru_cache(maxsize=None)
@@ -180,15 +170,7 @@ def column_row_series(r: int, s_max: int) -> BiSeries:
     """
     if r < 1 or s_max < 0:
         raise ValueError("need r >= 1 and s_max >= 0")
-    f = witt_coeffs(r)
-    acc = BiSeries.one(s_max)
-    for j, fj in enumerate(f):
-        if fj == 0:
-            continue
-        t = BiSeries.monomial(s_max, x_deg=j)
-        factor = binomial_power(t, fj) if j % 2 else reciprocal_power(t, fj)
-        acc = acc * factor
-    return acc
+    return BiSeries(s_max, [IntPolynomial(row) for row in _column_row_table(r, s_max)])
 
 
 def _rectangle(mu: tuple) -> Optional[Tuple[int, int]]:

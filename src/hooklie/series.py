@@ -7,7 +7,6 @@ is exact in x (no x-truncation anywhere).  Nothing here ever rounds.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Sequence
 
 from .combinat import divisors, moebius
@@ -15,8 +14,6 @@ from .combinat import divisors, moebius
 __all__ = [
     "IntPolynomial",
     "BiSeries",
-    "binomial_power",
-    "reciprocal_power",
     "witt_transform",
     "divide_exact",
     "is_unimodal",
@@ -251,43 +248,6 @@ class BiSeries:
 
     def __repr__(self) -> str:
         return f"BiSeries({self.s_max}, {self.polys!r})"
-
-
-def _check_no_unit(t: BiSeries, what: str) -> None:
-    if t.coeff(0):
-        raise ValueError(f"{what} needs a series with zero y-constant term")
-
-
-def binomial_power(t: BiSeries, f: int) -> BiSeries:
-    """(1 + t)^f for f >= 0, truncated; t must have no y-constant term."""
-    if f < 0:
-        raise ValueError("f must be >= 0")
-    _check_no_unit(t, "binomial_power")
-    acc = BiSeries.one(t.s_max)
-    tk = BiSeries.one(t.s_max)
-    for k in range(1, t.s_max + 1):
-        tk = tk * t
-        c = math.comb(f, k)
-        if c == 0:
-            break
-        acc = acc + BiSeries(t.s_max, [p * c for p in tk.polys])
-    return acc
-
-
-def reciprocal_power(t: BiSeries, f: int) -> BiSeries:
-    """(1 - t)^(-f) for f >= 0, truncated; t must have no y-constant term."""
-    if f < 0:
-        raise ValueError("f must be >= 0")
-    _check_no_unit(t, "reciprocal_power")
-    acc = BiSeries.one(t.s_max)
-    tk = BiSeries.one(t.s_max)
-    for k in range(1, t.s_max + 1):
-        tk = tk * t
-        c = math.comb(f + k - 1, k)
-        if c == 0:
-            break
-        acc = acc + BiSeries(t.s_max, [p * c for p in tk.polys])
-    return acc
 
 
 def witt_transform(p: IntPolynomial, r: int) -> IntPolynomial:

@@ -124,16 +124,16 @@ def test_criterion_05_divisibility_dichotomy():
     bad = []
     square = IntPolynomial((1, 2, 1))
     for r in range(1, 31):
-        series = lie.column_row_series(r, 5)
+        series = lie.column_row_series(r, 8)
         squarefree = is_squarefree(r)
-        for s in range(1, 6):
+        for s in range(1, 9):
             divisible = series.coeff(s).divide_exact(square) is not None
             if divisible == squarefree:
                 bad.append((r, s))
     report(
         5,
         "(1+x)^2 divides each y-coefficient of the generating series iff "
-        "r has a square factor, for r <= 30, s <= 5",
+        "r has a square factor, for r <= 30, s <= 8",
         not bad,
         f"mismatches at {bad}" if bad else "",
     )
@@ -163,12 +163,12 @@ def test_criterion_06_quotient_nonnegativity():
 def test_criterion_07_unimodality():
     bad = []
     for r in range(1, 41):
-        for s in range(1, 6):
+        for s in range(1, 9):
             if not is_unimodal(lie.hook_mults(r, s)):
                 bad.append((r, s))
     report(
         7,
-        "hook multiplicity sequences are unimodal for all r <= 40, s <= 5",
+        "hook multiplicity sequences are unimodal for all r <= 40, s <= 8",
         not bad,
         f"counterexamples at {bad}" if bad else "",
     )

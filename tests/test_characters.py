@@ -195,6 +195,17 @@ def test_guard_exceeded():
         higher_lie_character((1,) * 12, guard=10)
 
 
+def test_guard_holds_for_cached_characters():
+    # a character computed under a loose guard must not leak past a tight one
+    mu = (2, 2)  # centralizer order 8
+    hook_mults_oracle(mu)
+    schur_multiplicities(mu)
+    with pytest.raises(GuardExceeded):
+        hook_mults_oracle(mu, guard=2)
+    with pytest.raises(GuardExceeded):
+        schur_multiplicities(mu, guard=2)
+
+
 # -- character table persistence ---------------------------------------------
 
 

@@ -6,11 +6,13 @@ oracle on a range where the oracle stays cheap; frozen vectors were produced
 by that oracle and spot-checked by hand.
 """
 
+import math
+
 import pytest
 
 from hooklie import lie
 from hooklie.characters import hook_mults_oracle
-from hooklie.combinat import is_squarefree, moebius
+from hooklie.combinat import is_squarefree, moebius, restricted_partitions
 from hooklie.lie import (
     NoExtension,
     column_row_mults,
@@ -77,6 +79,14 @@ def test_witt_coeffs_rejects_bad_input():
         witt_coeffs(0)
 
 
+def test_witt_coeffs_cross_check_runs_at_large_r(monkeypatch):
+    # the generic-transform route is compared at every r, not only small ones
+    monkeypatch.setattr(lie, "witt_transform", lambda p, r: IntPolynomial((1,)))
+    witt_coeffs.cache_clear()
+    with pytest.raises(ArithmeticError):
+        witt_coeffs(97)
+
+
 # -- column-row and hook multiplicities --------------------------------------
 
 
@@ -126,26 +136,43 @@ def test_hook_mults_match_oracle_one_column():
 def test_hook_mults_nonnegative_and_double_count():
     # every hook multiplicity appears in exactly two column-row sums, so
     # the totals satisfy sum(e) = 2 sum(m)
-    for r in range(1, 13):
-        for s in range(1, 5):
-            m = hook_mults(r, s)
-            assert all(v >= 0 for v in m)
-            e = column_row_mults(r, s)
-            assert sum(e) == 2 * sum(m)
+    cases = [(r, s) for r in range(1, 13) for s in range(1, 5)] + [(40, 8)]
+    for r, s in cases:
+        m = hook_mults(r, s)
+        assert all(v >= 0 for v in m)
+        e = column_row_mults(r, s)
+        assert sum(e) == 2 * sum(m)
 
 
 # -- generating series -------------------------------------------------------
 
 
+def _column_row_by_definition(r, s):
+    # e_i = sum over s-tuples gamma of i with parts in {0..r} of the product
+    # over distinct values j (used k_j times) of binom(f_j + (k_j-1)[j even], k_j)
+    f = witt_coeffs(r)
+    e = []
+    for i in range(r * s + 1):
+        total = 0
+        for gamma in restricted_partitions(i, r, s):
+            term = 1
+            for j in set(gamma):
+                k = gamma.count(j)
+                term *= math.comb(f[j] + (k - 1) * (j % 2 == 0), k)
+            total += term
+        e.append(total)
+    return tuple(e)
+
+
 def test_series_matches_direct_multiplicities():
-    for r in range(1, 13):
+    for r in range(1, 11):
         s_max = 4
         series = column_row_series(r, s_max)
         for s in range(1, s_max + 1):
+            direct = _column_row_by_definition(r, s)
+            assert column_row_mults(r, s) == direct, (r, s)
             coeffs = series.coeff(s).coeffs
-            direct = column_row_mults(r, s)
-            padded = coeffs + (0,) * (len(direct) - len(coeffs))
-            assert padded == direct
+            assert coeffs + (0,) * (len(direct) - len(coeffs)) == direct, (r, s)
 
 
 def test_series_constant_term_is_one():

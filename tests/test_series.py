@@ -8,10 +8,8 @@ import pytest
 from hooklie.series import (
     BiSeries,
     IntPolynomial,
-    binomial_power,
     divide_exact,
     is_unimodal,
-    reciprocal_power,
     witt_transform,
 )
 
@@ -110,36 +108,6 @@ def test_biseries_truncating_product():
 def test_biseries_coeff_out_of_range():
     with pytest.raises(IndexError):
         BiSeries.one(2).coeff(3)
-
-
-def test_geometric_series_reciprocal():
-    # 1/(1 - xy)^2 = sum (k+1) x^k y^k
-    t = BiSeries.monomial(4, x_deg=1)
-    g = reciprocal_power(t, 2)
-    for s in range(5):
-        expected = [0] * s + [s + 1]
-        assert list(g.coeff(s).coeffs) == expected if s else g.coeff(s) == ONE
-
-
-def test_binomial_power_matches_direct_expansion():
-    # (1 + xy)^3 truncated at y^3
-    t = BiSeries.monomial(3, x_deg=1)
-    b = binomial_power(t, 3)
-    direct = (BiSeries.one(3) + t) ** 3
-    assert b == direct
-
-
-def test_binomial_reciprocal_inverse():
-    # (1+t)^f * (1 - (-t))^{-f} with t = xy is 1 up to truncation
-    t = BiSeries.monomial(4, x_deg=2)
-    minus_t = BiSeries.monomial(4, x_deg=2, c=-1)
-    prod = binomial_power(t, 5) * reciprocal_power(minus_t, 5)
-    assert prod == BiSeries.one(4)
-
-
-def test_powers_reject_unit_term():
-    with pytest.raises(ValueError):
-        binomial_power(BiSeries.one(2), 2)
 
 
 # -- Witt transform ----------------------------------------------------------
