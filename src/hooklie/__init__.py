@@ -10,14 +10,13 @@ Modules
 -------
 combinat    partitions, permutations, subset masks, tableaux, Kostka numbers
 series      integer polynomials, truncated two-variable series, Witt transform
-characters  Murnaghan-Nakayama values, induced characters from centralizers
+characters  Murnaghan-Nakayama values, higher Lie characters by plethysm
 lie         hook multiplicities, generating series, square-free criterion
 cdes        descent fibers, cyclic extension solver and constructor
 cli         command line front end (`hooklie`, or `python -m hooklie`)
 """
 
 from .characters import (
-    GuardExceeded,
     character_value,
     higher_lie_character,
     hook_mults_oracle,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiSeries",
     "CyclicExtensionSolution",
-    "GuardExceeded",
     "Infeasible",
     "IntPolynomial",
     "NoExtension",

@@ -284,22 +284,25 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
     if not 0 < mask < full_mask(n):
         raise ValueError("J must be a proper nonempty subset of [n]")
     jbits = bin(mask).count("1")
+    # Kostka numbers do not depend on the order of the content, so subsets
+    # whose cyclic compositions are rearrangements share one pairing
+    pairings: Dict[Tuple[int, ...], int] = {}
     total = 0
     sub = mask
     while sub:
-        beta = cyclic_composition(n, sub)
-        inner = sum(
-            m * kostka_number(lam, beta) for lam, m in schur_mults.items() if m
-        )
+        content = tuple(sorted(cyclic_composition(n, sub), reverse=True))
+        inner = pairings.get(content)
+        if inner is None:
+            inner = pairings[content] = sum(
+                m * kostka_number(lam, content) for lam, m in schur_mults.items() if m
+            )
         sign = -1 if (jbits - bin(sub).count("1")) % 2 else 1
         total += sign * inner
         sub = (sub - 1) & mask
     return total
 
 
-def straight_ribbon_fiber(
-    mu, mask: int, guard: int = characters.DEFAULT_GUARD
-) -> int:
+def straight_ribbon_fiber(mu, mask: int) -> int:
     """Size of {pi in the class : Des(pi) = J} predicted from the Schur
     expansion: sum over lam of the multiplicity of chi^lam times the
     number of standard tableaux of shape lam with descent set J.
@@ -310,7 +313,7 @@ def straight_ribbon_fiber(
     n = sum(mu)
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")
-    mults = characters.schur_multiplicities(mu, guard)
+    mults = characters.schur_multiplicities(mu)
     return sum(
         m * syt_descent_counts(lam).get(mask, 0) for lam, m in mults.items() if m
     )

@@ -3,8 +3,8 @@
 Subcommands: hooks, series, verify <suite>, construct, cellini, witt,
 cache dump/load.  Reports render as json (deterministic given command,
 config and cache state), csv, or text; timing always goes to stderr.
-Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage or
-guard errors.
+Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage
+errors (including a class over the enumeration limit).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class RunConfig:
     n_max: Optional[int] = None
     r_max: Optional[int] = None
     s_max: Optional[int] = None
-    guard: int = characters.DEFAULT_GUARD
     cache_dir: Optional[str] = None
     output_format: str = "text"
 
@@ -306,7 +305,7 @@ def cmd_construct(args, config: RunConfig) -> Report:
         }
         if sol.note:
             payload["note"] = sol.note
-        cert = lie.extension_certificate(mu, config.guard)
+        cert = lie.extension_certificate(mu)
         if isinstance(cert, lie.NoExtension):
             payload["certificate_violation"] = no_extension_payload(cert)
         report.payload.update(payload)
@@ -457,7 +456,7 @@ def suite_gr_fibers(config: RunConfig, report: Report) -> None:
         for mu in partition_list(n):
             dist = cdes.descent_distribution(mu)
             for mask in range(1 << (n - 1)):
-                predicted = cdes.straight_ribbon_fiber(mu, mask, config.guard)
+                predicted = cdes.straight_ribbon_fiber(mu, mask)
                 if predicted != dist.count(mask):
                     bad.append({"mu": list(mu), "J": subset_list(mask)})
         report.check(
@@ -527,7 +526,7 @@ def suite_affine_fibers(config: RunConfig, report: Report) -> None:
             if isinstance(sol, cdes.Infeasible):
                 continue
             feasible += 1
-            mults = characters.schur_multiplicities(mu, config.guard)
+            mults = characters.schur_multiplicities(mu)
             for mask in range(1, full_mask(n)):
                 if cdes.affine_ribbon_fiber(mu, mask, mults) != sol.count(mask):
                     bad.append({"mu": list(mu), "J": subset_list(mask)})
@@ -564,8 +563,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r-max", type=int, default=None, help="scan bound on r")
     sp.add_argument("--s-max", type=int, default=None, dest="s_max_common",
                     help="scan bound on s")
-    sp.add_argument("--guard", type=int, default=characters.DEFAULT_GUARD,
-                    help="largest centralizer the oracle may enumerate")
     sp.add_argument("--cache-dir", default=None,
                     help=f"character table directory (default ${CACHE_DIR_ENV})")
     sp.add_argument("--format", choices=sorted(RENDERERS), default="text",
@@ -634,7 +631,7 @@ COMMANDS = {
 
 
 def config_from_args(args) -> RunConfig:
-    for name in ("n_max", "r_max", "guard"):
+    for name in ("n_max", "r_max"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
@@ -645,7 +642,6 @@ def config_from_args(args) -> RunConfig:
         n_max=getattr(args, "n_max", None),
         r_max=getattr(args, "r_max", None),
         s_max=s_common,
-        guard=getattr(args, "guard", characters.DEFAULT_GUARD),
         cache_dir=getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV),
         output_format=getattr(args, "format", "text"),
     )
@@ -659,9 +655,6 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         report = COMMANDS[args.cmd](args, config)
     except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except characters.GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

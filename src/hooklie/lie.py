@@ -6,7 +6,7 @@ part sizes with parity-twisted binomial coefficients, the hook
 multiplicities m_k are their partial alternating sums, and the
 certificate d_k decides whether the class carries a cyclic descent
 extension.  The Witt coefficients are cross-checked against the generic
-Witt transform at every r; the hook multiplicities of small rectangles
+Witt transform at every r; the hook multiplicities of every rectangle
 against the character oracle.
 """
 
@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Tuple, Union
 
 from . import characters
-from .combinat import centralizer_order, divisors, is_partition, is_squarefree, moebius
+from .combinat import divisors, is_partition, is_squarefree, moebius
 from .series import BiSeries, IntPolynomial, witt_transform
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
     "hook_profile",
     "subset_sum_count",
 ]
-
-# rectangular classes small enough to cross-check against the character oracle
-_ORACLE_CHECK_MAX = 100_000
-
 
 @dataclass(frozen=True)
 class NoExtension:
@@ -196,17 +192,15 @@ def _certificate_from_mults(m: Tuple[int, ...]) -> Union[Tuple[int, ...], NoExte
     return tuple(d)
 
 
-def extension_certificate(
-    mu, guard: int = characters.DEFAULT_GUARD
-) -> Union[Tuple[int, ...], NoExtension]:
+def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
     """Certificate (d_0, ..., d_(n-2)) for a cyclic descent extension on
     the class mu, or NoExtension naming the first violated condition.
 
     d_k is the k-th partial alternating sum of the hook multiplicities;
     an extension exists iff every d_k is non-negative and the full
     alternating sum d_(n-1) vanishes.  Rectangular classes go through
-    the closed formula (cross-checked against the character oracle when
-    the centralizer is small enough); everything else through the oracle.
+    the closed formula, cross-checked against the character oracle;
+    everything else through the oracle.
     """
     mu = tuple(mu)
     if not is_partition(mu) or not mu:
@@ -214,14 +208,13 @@ def extension_certificate(
     rect = _rectangle(mu)
     if rect is not None:
         m = hook_mults(*rect)
-        if centralizer_order(mu) <= min(_ORACLE_CHECK_MAX, guard):
-            oracle = characters.hook_mults_oracle(mu, guard)
-            if oracle != m:
-                raise ArithmeticError(
-                    f"hook multiplicity routes disagree on {mu}: {m} vs {oracle}"
-                )
+        oracle = characters.hook_mults_oracle(mu)
+        if oracle != m:
+            raise ArithmeticError(
+                f"hook multiplicity routes disagree on {mu}: {m} vs {oracle}"
+            )
     else:
-        m = characters.hook_mults_oracle(mu, guard)
+        m = characters.hook_mults_oracle(mu)
     return _certificate_from_mults(m)
 
 

@@ -1,0 +1,124 @@
+"""Test-only brute force for higher Lie characters.
+
+Enumerates the centralizer of a class representative, sums the defining
+linear character over each intersection with a conjugacy class, and
+reduces the root-of-unity sums exactly modulo a cyclotomic polynomial.
+It shares no code with the plethysm route in hooklie.characters.  The
+cost is the centralizer order, so use it on small centralizers only.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import permutations, product
+from typing import Dict
+
+from hooklie.combinat import centralizer_order, cycle_type, divisors, partition_list
+
+
+def _poly_rem_monic(p: list[int], q: tuple[int, ...]) -> list[int]:
+    """Remainder of p modulo monic q, exact integer arithmetic."""
+    p = list(p)
+    dq = len(q) - 1
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = p[i]
+        if c:
+            p[i] = 0
+            for j in range(dq):
+                p[i - dq + j] -= c * q[j]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_div_exact_monic(p: list[int], q: tuple[int, ...]) -> list[int]:
+    dq = len(q) - 1
+    p = list(p)
+    quot = [0] * (len(p) - dq)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = p[i]
+        if c:
+            quot[i - dq] = c
+            for j in range(dq + 1):
+                p[i - dq + j] -= c * q[j]
+    if any(p):
+        raise ArithmeticError("inexact cyclotomic division")
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in divisors(m):
+        if d < m:
+            num = _poly_div_exact_monic(num, _cyclotomic(d))
+    return tuple(num)
+
+
+def _reduce_root_sum(counts: list[int], order: int) -> int:
+    """Value of sum(counts[e] * zeta^e) when rational; raises otherwise."""
+    rem = _poly_rem_monic(counts, _cyclotomic(order))
+    if len(rem) > 1:
+        raise ArithmeticError("root-of-unity sum is not rational")
+    return rem[0] if rem else 0
+
+
+def _centralizer_sums(mu: tuple[int, ...], order: int) -> Dict[tuple, list]:
+    """Per cycle type, the exponent histogram of the defining linear
+    character over the centralizer of the standard representative of mu.
+
+    The centralizer is the direct product over distinct part sizes i of
+    the group permuting the k_i blocks of size i and rotating each block;
+    an element rotating block j by c_j contributes the exponent
+    (order/i) * sum_j c_j to the primitive root of unity.
+    """
+    n = sum(mu)
+    groups = []  # (size, block count, offset)
+    off = 0
+    for size in sorted(set(mu), reverse=True):
+        k = mu.count(size)
+        groups.append((size, k, off))
+        off += size * k
+    image = [0] * n  # one-line notation, values 1..n
+    sums: Dict[tuple, list] = {}
+
+    def rec(gi: int, exp: int):
+        if gi == len(groups):
+            hist = sums.setdefault(cycle_type(image), [0] * order)
+            hist[exp % order] += 1
+            return
+        size, k, base = groups[gi]
+        step = order // size
+        for tau in permutations(range(k)):
+            for shifts in product(range(size), repeat=k):
+                for j in range(k):
+                    target = base + tau[j] * size
+                    b = base + j * size
+                    for t in range(size):
+                        image[b + t] = target + (t + shifts[j]) % size + 1
+                rec(gi + 1, exp + step * sum(shifts))
+
+    rec(0, 0)
+    return sums
+
+
+def higher_lie_by_enumeration(mu) -> Dict[tuple, int]:
+    """Values of the higher Lie character of mu on every class of S_n,
+    by walking all centralizer_order(mu) elements of the centralizer."""
+    mu = tuple(mu)
+    z = centralizer_order(mu)
+    order = math.lcm(*set(mu))
+    sums = _centralizer_sums(mu, order)
+    values = {}
+    for ctype in partition_list(sum(mu)):
+        hist = sums.get(ctype)
+        if hist is None:
+            values[ctype] = 0
+            continue
+        num = centralizer_order(ctype) * _reduce_root_sum(hist, order)
+        if num % z:
+            raise ArithmeticError(f"non-integral induced value at {ctype}")
+        values[ctype] = num // z
+    return values

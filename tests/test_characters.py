@@ -2,21 +2,21 @@
 built from cyclic-rotation eigenvalues of centralizers.
 
 Frozen vectors marked "brute force" were computed by enumerating the
-relevant groups directly with itertools.permutations and exact root-of-unity
-arithmetic; the cheap ones are re-derived inline.
+relevant groups directly with exact root-of-unity arithmetic; the
+enumeration lives on in tests/brute_force.py, and the plethysm route is
+compared against it on every small centralizer.
 """
 
 import json
 import math
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
+from brute_force import higher_lie_by_enumeration
 
 from hooklie import characters
 from hooklie.characters import (
     CacheError,
-    GuardExceeded,
     character_table,
     character_value,
     dump_table,
@@ -29,6 +29,7 @@ from hooklie.characters import (
     schur_multiplicities,
 )
 from hooklie.combinat import (
+    centralizer_order,
     class_size,
     partition_list,
     standard_tableaux,
@@ -115,6 +116,18 @@ def test_higher_lie_of_identity_class_is_trivial():
             assert psi(mu) == 1
 
 
+def test_higher_lie_matches_brute_force():
+    # Thrall's plethysm against walking the centralizer, on every class
+    # of S_n (n <= 12) whose centralizer has at most 10^4 elements
+    checked = 0
+    for n in range(1, 13):
+        for mu in partition_list(n):
+            if centralizer_order(mu) <= 10**4:
+                assert higher_lie_character(mu).values == higher_lie_by_enumeration(mu), mu
+                checked += 1
+    assert checked == 250
+
+
 def test_higher_lie_values_are_integers():
     for n in range(1, 7):
         for mu in partition_list(n):
@@ -125,7 +138,7 @@ def test_higher_lie_values_are_integers():
 def test_higher_lie_degree():
     # degree = n! / z_mu * (number of centralizer elements of exponent 0
     # weight 1 at identity...): the induced degree is [S_n : C_mu] = |K|
-    for n in range(1, 8):
+    for n in range(1, 11):
         for mu in partition_list(n):
             psi = higher_lie_character(mu)
             assert psi((1,) * n) == class_size(mu)
@@ -184,26 +197,20 @@ def test_hook_mults_oracle_rectangle_4_4():
     assert hook_mults_oracle((4, 4)) == (0, 0, 0, 2, 2, 0, 0, 0)
 
 
+def test_hook_mults_oracle_matches_schur_expansion():
+    # the oracle's sparse hook projection against inner products with the
+    # Murnaghan-Nakayama hook characters over every class
+    for n in range(1, 9):
+        for mu in partition_list(n):
+            mults = schur_multiplicities(mu)
+            hooks = tuple(mults[hook_shape(n, k)] for k in range(n))
+            assert hook_mults_oracle(mu) == hooks, mu
+
+
 def test_hook_shape():
     assert hook_shape(5, 0) == (5,)
     assert hook_shape(5, 2) == (3, 1, 1)
     assert hook_shape(5, 4) == (1, 1, 1, 1, 1)
-
-
-def test_guard_exceeded():
-    with pytest.raises(GuardExceeded):
-        higher_lie_character((1,) * 12, guard=10)
-
-
-def test_guard_holds_for_cached_characters():
-    # a character computed under a loose guard must not leak past a tight one
-    mu = (2, 2)  # centralizer order 8
-    hook_mults_oracle(mu)
-    schur_multiplicities(mu)
-    with pytest.raises(GuardExceeded):
-        hook_mults_oracle(mu, guard=2)
-    with pytest.raises(GuardExceeded):
-        schur_multiplicities(mu, guard=2)
 
 
 # -- character table persistence ---------------------------------------------

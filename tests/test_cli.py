@@ -62,14 +62,6 @@ def test_oversized_class_exits_2(capsys):
     assert "enumeration limit" in err
 
 
-def test_guard_exceeded_exits_2(capsys):
-    code, out, err = run(
-        ["verify", "affine-fibers", "--n-max", "7", "--guard", "2"], capsys
-    )
-    assert code == 2
-    assert "error:" in err
-
-
 def test_bad_flag_value_exits_2(capsys):
     code, out, err = run(["verify", "cellini", "--n-max", "0"], capsys)
     assert code == 2

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from hooklie import lie
+from hooklie import characters, lie
 from hooklie.characters import hook_mults_oracle
 from hooklie.combinat import is_squarefree, moebius, restricted_partitions
 from hooklie.lie import (
@@ -117,20 +117,20 @@ def test_column_row_equals_adjacent_hook_sums():
 
 
 def test_hook_mults_match_character_oracle():
-    # the closed formula against brute-force induced-character expansion
-    for r in range(1, 11):
-        for s in range(1, 11):
-            if r * s > 8:
+    # the closed formula against the induced character from the plethysm
+    for r in range(1, 13):
+        for s in range(1, 13):
+            if r * s > 12:
                 continue
             mu = (r,) * s
             assert hook_mults(r, s) == hook_mults_oracle(mu)
 
 
 def test_hook_mults_match_oracle_one_column():
-    # (1^10): the induced character is trivial, so only m_0 = 1 survives;
-    # this also exercises the largest centralizer the oracle ever sees here
-    assert hook_mults(1, 10) == (1,) + (0,) * 9
-    assert hook_mults_oracle((1,) * 10) == (1,) + (0,) * 9
+    # (1^12): the induced character is trivial, so only m_0 = 1 survives;
+    # its centralizer is all of S_12
+    assert hook_mults(1, 12) == (1,) + (0,) * 11
+    assert hook_mults_oracle((1,) * 12) == (1,) + (0,) * 11
 
 
 def test_hook_mults_nonnegative_and_double_count():
@@ -222,6 +222,23 @@ def test_certificate_matches_squarefree_dichotomy():
                 extension_certificate((r,) * s), NoExtension
             )
             assert cert_exists == (not is_squarefree(r))
+
+
+def test_certificate_cross_checks_every_rectangle(monkeypatch):
+    # no centralizer size skips the oracle: (1^12) has z = 12!
+    monkeypatch.setattr(
+        characters, "hook_mults_oracle", lambda mu: (0,) * sum(mu)
+    )
+    for mu in [(1,) * 12, (2,) * 6]:
+        with pytest.raises(ArithmeticError):
+            extension_certificate(mu)
+
+
+def test_certificate_reaches_large_rectangles():
+    # the oracle cross-check is cheap far beyond any enumerable centralizer
+    for r, s in [(100, 1), (40, 4), (6, 6)]:
+        cert = extension_certificate((r,) * s)
+        assert isinstance(cert, NoExtension) == is_squarefree(r)
 
 
 def test_certificate_reconstructs_hooks():
