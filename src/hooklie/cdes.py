@@ -14,9 +14,10 @@ the empty set), which also makes the solution unique when it exists.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from . import characters
 from .combinat import (
@@ -45,10 +46,14 @@ __all__ = [
     "cyclic_composition",
     "affine_ribbon_fiber",
     "straight_ribbon_fiber",
-    "extension_records",
+    "write_extension",
 ]
 
 DEFAULT_N_LIMIT = 10
+# The largest class the default n limit lets through: (n-1, 1) is the
+# largest class of S_n for n >= 4, here 403,200 elements.  A raised n limit
+# does not raise this cost bound.
+CLASS_SIZE_LIMIT = class_size((DEFAULT_N_LIMIT - 1, 1))
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,16 @@ class FiberSolution:
 @dataclass(frozen=True)
 class CyclicExtensionSolution:
     """An explicit cyclic extension: fiber sizes, the cDes of every class
-    element, and the rotation-equivariant bijection p."""
+    element, and the rotation-equivariant bijection p.  axioms holds the
+    results of the exhaustive check_axioms run that construct_extension
+    made before returning it (empty for a solution built elsewhere)."""
 
     mu: Tuple[int, ...]
     n: int
     fibers: FiberSolution
     cdes: Dict[Tuple[int, ...], int]
     p_map: Dict[Tuple[int, ...], Tuple[int, ...]]
+    axioms: Dict[str, bool] = field(default_factory=dict)
 
 
 def _check_class(mu, n_limit: int) -> Tuple[int, ...]:
@@ -101,6 +109,12 @@ def _check_class(mu, n_limit: int) -> Tuple[int, ...]:
     n = sum(mu)
     if n > n_limit:
         raise ValueError(f"class of S_{n} exceeds the enumeration limit {n_limit}")
+    size = class_size(mu)
+    if size > CLASS_SIZE_LIMIT:
+        raise ValueError(
+            f"class {mu} has {size} elements, over the enumeration limit of "
+            f"{CLASS_SIZE_LIMIT} (the largest class of S_{DEFAULT_N_LIMIT})"
+        )
     return mu
 
 
@@ -176,7 +190,10 @@ def construct_extension(
     Deterministic rule: within each Des-fiber in lexicographic order, the
     first c_(D u {n}) permutations get D u {n} and the rest keep D; p
     sends the k-th element of the fiber of J to the k-th element of the
-    fiber of sh(J).  All axioms are verified exhaustively before return.
+    fiber of sh(J).  All axioms are verified exhaustively, once, before
+    return; the results ride along as the solution's axioms.  Classes
+    larger than CLASS_SIZE_LIMIT are refused with ValueError up front.
+    write_extension dumps the result.
     """
     mu = _check_class(mu, n_limit)
     n = sum(mu)
@@ -217,7 +234,7 @@ def construct_extension(
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         raise AssertionError(f"constructed extension violates {failed} on {mu}")
-    return result
+    return replace(result, axioms=checks)
 
 
 def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
@@ -319,24 +336,60 @@ def straight_ribbon_fiber(mu, mask: int) -> int:
     )
 
 
-def extension_records(sol: CyclicExtensionSolution) -> dict:
-    """Serializable dump of a constructed extension: one record per class
-    element in lexicographic order plus the fiber size table."""
-    perms = sorted(sol.cdes)
-    return {
-        "mu": list(sol.mu),
-        "n": sol.n,
-        "fibers": [
-            {"subset": list(subset_elements(j)), "count": c}
-            for j, c in sorted(sol.fibers.counts.items())
-        ],
-        "elements": [
-            {
-                "one_line": list(pi),
-                "des": list(subset_elements(descent_set(pi))),
-                "cdes": list(subset_elements(sol.cdes[pi])),
-                "p_image": list(sol.p_map[pi]),
-            }
-            for pi in perms
-        ],
-    }
+# One element record as json.dump(..., sort_keys=True, indent=1) lays it out
+# inside the top-level "elements" list: keys at depth 3, list items at depth 4.
+_RECORD = (
+    '  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": %s,\n   "p_image": %s\n  }'
+)
+
+
+def _int_list(values) -> str:
+    """An int list as it appears at key depth 3 of the dump."""
+    if not values:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(str, values)) + "\n   ]"
+
+
+def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
+    """Write the dump of a constructed extension to the text stream fh and
+    return its fiber table.
+
+    The bytes written are exactly those of
+    json.dump(doc, fh, sort_keys=True, indent=1) with doc = {"elements",
+    "fibers", "mu", "n"}: "elements" holds one record {"cdes", "des",
+    "one_line", "p_image"} (int lists) per class element in lexicographic
+    order, and "fibers" the nonzero fiber sizes {"count", "subset"} in mask
+    order.  So the format is byte-stable: the same class always gives the
+    same bytes.  Records are written one at a time, so the dump never sits
+    in memory whole.  des is cDes without n, which the "extension" axiom
+    checked against descent_set for every element.
+    """
+    top = 1 << (sol.n - 1)
+    subsets: Dict[int, str] = {}  # at most 2^n masks against n!/z elements
+
+    def subset_text(mask: int) -> str:
+        text = subsets.get(mask)
+        if text is None:
+            text = subsets[mask] = _int_list(subset_elements(mask))
+        return text
+
+    # the one-line lists of a class all have n entries: one %-format each
+    perm = _int_list(["%d"] * sol.n)
+    record = _RECORD % ("%s", "%s", perm, perm)
+    cdes, p_map = sol.cdes, sol.p_map
+    fh.write('{\n "elements": [')
+    sep = "\n"
+    for pi in sorted(cdes):
+        j = cdes[pi]
+        fh.write(sep + record % ((subset_text(j), subset_text(j & ~top)) + pi + p_map[pi]))
+        sep = ",\n"
+    fh.write("]" if sep == "\n" else "\n ]")  # no element: "elements": []
+    fibers = [
+        {"subset": list(subset_elements(j)), "count": c}
+        for j, c in sorted(sol.fibers.counts.items())
+    ]
+    tail = json.dumps(
+        {"fibers": fibers, "mu": list(sol.mu), "n": sol.n}, sort_keys=True, indent=1
+    )
+    fh.write("," + tail[1:])  # the keys after "elements", without the opening brace
+    return fibers

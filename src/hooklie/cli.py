@@ -310,21 +310,19 @@ def cmd_construct(args, config: RunConfig) -> Report:
             payload["certificate_violation"] = no_extension_payload(cert)
         report.payload.update(payload)
         return report
-    records = cdes.extension_records(sol)
     out_path = args.output or f"extension-{'-'.join(map(str, mu))}.json"
     with open(out_path, "w", encoding="ascii") as fh:
-        json.dump(records, fh, sort_keys=True, indent=1)
+        fibers = cdes.write_extension(sol, fh)
         fh.write("\n")
-    checks = cdes.check_axioms(sol)
     report.payload.update(
         {
             "feasible": True,
             "class_size": len(sol.cdes),
-            "fibers": records["fibers"],
+            "fibers": fibers,
             "dump": out_path,
         }
     )
-    for name, ok in sorted(checks.items()):
+    for name, ok in sorted(sol.axioms.items()):
         report.check(f"axiom-{name}", ok)
     return report
 

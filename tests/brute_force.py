@@ -1,10 +1,15 @@
-"""Test-only brute force for higher Lie characters.
+"""Test-only reference implementations.
 
-Enumerates the centralizer of a class representative, sums the defining
-linear character over each intersection with a conjugacy class, and
-reduces the root-of-unity sums exactly modulo a cyclotomic polynomial.
-It shares no code with the plethysm route in hooklie.characters.  The
-cost is the centralizer order, so use it on small centralizers only.
+higher_lie_by_enumeration enumerates the centralizer of a class
+representative, sums the defining linear character over each intersection
+with a conjugacy class, and reduces the root-of-unity sums exactly modulo
+a cyclotomic polynomial.  It shares no code with the plethysm route in
+hooklie.characters.  The cost is the centralizer order, so use it on small
+centralizers only.
+
+extension_records builds the document of a construct dump as a dict, with
+des recomputed from each permutation; json.dumps of it with sort_keys=True
+and indent=1 is the reference for the streaming hooklie.cdes.write_extension.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Dict
 
-from hooklie.combinat import centralizer_order, cycle_type, divisors, partition_list
+from hooklie.combinat import (
+    centralizer_order,
+    cycle_type,
+    descent_set,
+    divisors,
+    partition_list,
+    subset_elements,
+)
 
 
 def _poly_rem_monic(p: list[int], q: tuple[int, ...]) -> list[int]:
@@ -122,3 +134,25 @@ def higher_lie_by_enumeration(mu) -> Dict[tuple, int]:
             raise ArithmeticError(f"non-integral induced value at {ctype}")
         values[ctype] = num // z
     return values
+
+
+def extension_records(sol) -> dict:
+    """The construct dump of a CyclicExtensionSolution as a dict: one
+    record per class element in lexicographic order plus the fiber table."""
+    return {
+        "mu": list(sol.mu),
+        "n": sol.n,
+        "fibers": [
+            {"subset": list(subset_elements(j)), "count": c}
+            for j, c in sorted(sol.fibers.counts.items())
+        ],
+        "elements": [
+            {
+                "one_line": list(pi),
+                "des": list(subset_elements(descent_set(pi))),
+                "cdes": list(subset_elements(sol.cdes[pi])),
+                "p_image": list(sol.p_map[pi]),
+            }
+            for pi in sorted(sol.cdes)
+        ],
+    }

@@ -1,10 +1,16 @@
-"""Tests for descent fibers, the cyclic extension solver/constructor, the
-Cellini closure scan, and the two ribbon-fiber formulas."""
+"""Tests for descent fibers, the cyclic extension solver/constructor and its
+dump writer, the Cellini closure scan, and the two ribbon-fiber formulas."""
+
+import io
+import json
 
 import pytest
+from brute_force import extension_records
 
 from hooklie import cdes
 from hooklie.cdes import (
+    CyclicExtensionSolution,
+    FiberSolution,
     Infeasible,
     affine_ribbon_fiber,
     cellini_closed,
@@ -12,9 +18,9 @@ from hooklie.cdes import (
     construct_extension,
     cyclic_composition,
     descent_distribution,
-    extension_records,
     solve_extension,
     straight_ribbon_fiber,
+    write_extension,
 )
 from hooklie.characters import schur_multiplicities
 from hooklie.combinat import (
@@ -64,6 +70,12 @@ def test_distribution_identity_class():
 def test_distribution_rejects_oversized_class():
     with pytest.raises(ValueError):
         descent_distribution((11,))
+    # a raised n limit does not raise the size bound: (11) has 10! elements
+    largest = max(class_size(mu) for mu in partition_list(cdes.DEFAULT_N_LIMIT))
+    assert cdes.CLASS_SIZE_LIMIT == largest == 403_200
+    for call in (descent_distribution, cdes.construct_extension, cellini_closed):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            call((11,), n_limit=11)
 
 
 # -- solver ------------------------------------------------------------------
@@ -173,6 +185,7 @@ def test_construct_axioms_all_feasible_classes():
                 continue
             checks = check_axioms(sol)
             assert all(checks.values()), (mu, checks)
+            assert sol.axioms == checks
 
 
 def test_construct_extension_restricts_to_descents():
@@ -207,17 +220,49 @@ def test_construct_infeasible_escher_note():
     assert sol.note == ""
 
 
+def _dump(sol) -> str:
+    buf = io.StringIO()
+    write_extension(sol, buf)
+    return buf.getvalue()
+
+
 def test_extension_records_shape_and_determinism():
-    sol = construct_extension((4,))
-    rec1 = extension_records(sol)
-    rec2 = extension_records(construct_extension((4,)))
-    assert rec1 == rec2
-    assert rec1["mu"] == [4]
-    assert rec1["n"] == 4
-    assert len(rec1["elements"]) == 6
-    assert [f["count"] for f in rec1["fibers"]] == [1] * 6
-    one_lines = [tuple(e["one_line"]) for e in rec1["elements"]]
+    text = _dump(construct_extension((4,)))
+    assert text == _dump(construct_extension((4,)))
+    rec = json.loads(text)
+    assert rec["mu"] == [4]
+    assert rec["n"] == 4
+    assert len(rec["elements"]) == 6
+    assert [f["count"] for f in rec["fibers"]] == [1] * 6
+    one_lines = [tuple(e["one_line"]) for e in rec["elements"]]
     assert one_lines == sorted(one_lines)
+    assert sorted(rec["elements"][0]) == ["cdes", "des", "one_line", "p_image"]
+
+
+def test_write_extension_matches_json_dump():
+    for n in range(1, 8):
+        for mu in partition_list(n):
+            sol = construct_extension(mu)
+            if isinstance(sol, Infeasible):
+                continue
+            ref = extension_records(sol)
+            buf = io.StringIO()
+            fibers = write_extension(sol, buf)
+            assert buf.getvalue() == json.dumps(ref, sort_keys=True, indent=1), mu
+            assert fibers == ref["fibers"]
+
+
+def test_write_extension_renders_empty_lists():
+    # not extensions, only inputs that reach the empty-list branches
+    empty = CyclicExtensionSolution((2,), 2, FiberSolution(2, {}), {}, {})
+    identity = CyclicExtensionSolution(
+        (1, 1), 2, FiberSolution(2, {0: 1}), {(1, 2): 0}, {(1, 2): (1, 2)}
+    )
+    for sol in (empty, identity):
+        want = json.dumps(extension_records(sol), sort_keys=True, indent=1)
+        assert _dump(sol) == want
+    assert '"elements": []' in _dump(empty)
+    assert '"cdes": [],\n   "des": []' in _dump(identity)
 
 
 # -- Cellini closure ---------------------------------------------------------

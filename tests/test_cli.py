@@ -1,6 +1,7 @@
 """Tests for the command line front end: exit codes, deterministic reports,
 construct dumps, cache handling, and cold-versus-warm equality."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,25 @@ def test_oversized_class_exits_2(capsys):
     code, out, err = run(["construct", "1,1,1,1,1,1,1,1,1,1,1"], capsys)
     assert code == 2
     assert "enumeration limit" in err
+
+
+def test_class_over_size_limit_exits_2(tmp_path, capsys):
+    # 11! elements pass --n-max 12 but not the size bound, so nothing is walked
+    out_file = tmp_path / "ext.json"
+    code, out, err = run(
+        ["construct", "12", "--n-max", "12", "--output", str(out_file)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "enumeration limit" in err
+    assert not out_file.exists()
+    # (2^6) has 10,395 elements: under the bound, so --n-max 12 still runs it
+    code, doc, _ = run_json(
+        ["construct", "2,2,2,2,2,2", "--n-max", "12", "--output", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    assert doc["payload"]["feasible"] is False
 
 
 def test_bad_flag_value_exits_2(capsys):
@@ -165,7 +185,32 @@ def test_construct_writes_dump(tmp_path, capsys):
     dumped = json.loads(out_file.read_text())
     assert dumped["n"] == 4
     assert len(dumped["elements"]) == 6
-    assert all(a["passed"] for a in doc["assertions"])
+    assert doc["payload"]["fibers"] == dumped["fibers"]
+    assert doc["assertions"] == [
+        {"name": f"axiom-{name}", "passed": True}
+        for name in ("equivariance", "extension", "fiber-counts", "non-escher")
+    ]
+
+
+# SHA-256 and size of the dumps as json.dump(..., sort_keys=True, indent=1)
+# plus a newline wrote them; the streaming writer must keep every byte.
+DUMP_DIGESTS = {
+    "4": ("d7d5499f8a5d6e72f22ff77223822985bbe3ab1f969156f29b56fda647f3fb8d", 1_404),
+    "5,3": ("f3800f507ff126d7827d3f8ebe95ab34195e2fa4fd55258abb41b49f9dc63a7c", 689_284),
+    "3,2,1,1,1": (
+        "f6349575b10b5880b57ff8a20318a31eac956b8ededee8fc934d9d6ab3eac986",
+        289_923,
+    ),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(DUMP_DIGESTS))
+def test_construct_dump_bytes_are_pinned(mu, tmp_path, capsys):
+    out_file = tmp_path / "ext.json"
+    code, _, _ = run(["construct", mu, "--output", str(out_file)], capsys)
+    assert code == 0
+    data = out_file.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == DUMP_DIGESTS[mu]
 
 
 def test_construct_infeasible_reports_reason(tmp_path, capsys):
