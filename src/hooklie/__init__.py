@@ -40,7 +40,6 @@ from .combinat import (
     cycle_type,
     descent_set,
     kostka_number,
-    partitions,
     standard_tableaux,
 )
 from .lie import (
@@ -85,7 +84,6 @@ __all__ = [
     "inner_product",
     "irreducible_character",
     "kostka_number",
-    "partitions",
     "quotient_series",
     "schur_multiplicities",
     "solve_extension",

@@ -1,18 +1,16 @@
 """Symmetric group characters, exactly.
 
 Irreducible values come from the Murnaghan-Nakayama recursion on a
-process-lifetime memo table.  Higher Lie characters come from Thrall's
-plethysm: the Frobenius image of psi^mu is the product over part sizes i
-of h_(k_i)[Lie_i], with k_i the number of parts i of mu and
-Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d).  It is expanded in
-a sparse power-sum algebra over Fraction, and psi^mu(nu) = z_nu [p_nu]
-ch psi^mu; no group element is enumerated.
+process-lifetime memo table; no value is read from a file.  Higher Lie
+characters come from Thrall's plethysm: the Frobenius image of psi^mu is
+the product over part sizes i of h_(k_i)[Lie_i], with k_i the number of
+parts i of mu and Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d).
+It is expanded in a sparse power-sum algebra over Fraction, and
+psi^mu(nu) = z_nu [p_nu] ch psi^mu; no group element is enumerated.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +27,6 @@ from .combinat import (
 )
 
 __all__ = [
-    "CacheError",
     "ClassFunction",
     "character_value",
     "irreducible_character",
@@ -38,18 +35,8 @@ __all__ = [
     "schur_multiplicities",
     "hook_mults_oracle",
     "hook_shape",
-    "character_table",
-    "dump_table",
-    "load_table",
     "clear_memo",
 ]
-
-CACHE_FORMAT = "sn-character-table"
-CACHE_VERSION = 1
-
-
-class CacheError(ValueError):
-    """Character table cache file is unusable (format, version, checksum)."""
 
 
 # -- class functions ---------------------------------------------------------
@@ -284,88 +271,6 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
     if acc[n] != prev:
         raise ArithmeticError(f"hook expansion of psi^{mu} is not divisible by 1+t")
     return tuple(out)
-
-
-# -- persistent character tables ---------------------------------------------
-
-
-def character_table(n: int) -> list:
-    """All (lam, mu, chi^lam(mu)) triples for partitions of n, sorted."""
-    rows = []
-    for lam in partition_list(n):
-        for mu in partition_list(n):
-            rows.append((lam, mu, character_value(lam, mu)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
-
-
-def _records_checksum(records: list) -> str:
-    canonical = json.dumps(records, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
-
-
-def dump_table(n: int, path) -> None:
-    """Write the full S_n character table with a versioned, checksummed
-    header.  Loading it back must reproduce the memo exactly."""
-    records = [
-        [list(lam), list(mu), str(v)] for lam, mu, v in character_table(n)
-    ]
-    doc = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "n": n,
-        "sha256": _records_checksum(records),
-        "records": records,
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_table(path) -> int:
-    """Validate a dumped table and seed the memo from it; returns n.
-
-    A corrupt file (format, version, checksum, malformed records) raises
-    CacheError and leaves both the memo and the file untouched.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CacheError(f"unreadable cache file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
-        raise CacheError(f"{path}: not a {CACHE_FORMAT} file")
-    if doc.get("version") != CACHE_VERSION:
-        raise CacheError(
-            f"{path}: version {doc.get('version')!r}, expected {CACHE_VERSION}"
-        )
-    records = doc.get("records")
-    n = doc.get("n")
-    if not isinstance(records, list) or not isinstance(n, int):
-        raise CacheError(f"{path}: malformed body")
-    if _records_checksum(records) != doc.get("sha256"):
-        raise CacheError(f"{path}: checksum mismatch")
-    parsed = []
-    for row in records:
-        try:
-            lam, mu, v = row
-            lam = tuple(lam)
-            mu = tuple(mu)
-            value = int(v)
-        except (TypeError, ValueError) as exc:
-            raise CacheError(f"{path}: bad record {row!r}") from exc
-        if not (is_partition(lam) and is_partition(mu)):
-            raise CacheError(f"{path}: bad record {row!r}")
-        if sum(lam) != n or sum(mu) != n:
-            raise CacheError(f"{path}: record {row!r} is not about S_{n}")
-        parsed.append((lam, mu, value))
-    for lam, mu, value in parsed:
-        known = _MN_MEMO.get((lam, mu))
-        if known is not None and known != value:
-            raise CacheError(f"{path}: conflicts with computed value at {(lam, mu)}")
-    for lam, mu, value in parsed:
-        _MN_MEMO[(lam, mu)] = value
-    return n
 
 
 def clear_memo() -> None:

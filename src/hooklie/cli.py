@@ -1,8 +1,8 @@
 """Command line front end.
 
-Subcommands: hooks, series, verify <suite>, construct, cellini, witt,
-cache dump/load.  Reports render as json (deterministic given command,
-config and cache state), csv, or text; timing always goes to stderr.
+Subcommands: hooks, series, verify <suite>, construct, cellini, witt.
+Reports render as json (deterministic given command and config; no file
+is read), csv, or text; timing always goes to stderr.
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage
 errors (including a class over the enumeration limit).
 """
@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,12 +28,10 @@ from .combinat import (
 )
 from .series import IntPolynomial, is_unimodal, witt_transform
 
-CACHE_DIR_ENV = "HOOKLIE_CACHE_DIR"
-CACHE_FILE_PREFIX = "sn-"
-
 DEFAULT_N_MAX = 8
 DEFAULT_R_MAX = 40
 DEFAULT_S_MAX = 5
+UNIMODALITY_S_MAX = 8
 
 
 @dataclass
@@ -42,7 +39,6 @@ class RunConfig:
     n_max: Optional[int] = None
     r_max: Optional[int] = None
     s_max: Optional[int] = None
-    cache_dir: Optional[str] = None
     output_format: str = "text"
 
 
@@ -166,26 +162,6 @@ def parse_partition(text: str) -> Tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def maybe_load_cache(config: RunConfig, report: Report) -> None:
-    """Seed the character memo from every table file in the cache dir.
-    A file that fails validation is reported as a failed assertion and
-    skipped; it is never overwritten or silently recomputed."""
-    if not config.cache_dir or not os.path.isdir(config.cache_dir):
-        return
-    loaded = []
-    for name in sorted(os.listdir(config.cache_dir)):
-        if name.startswith(CACHE_FILE_PREFIX) and name.endswith(".json"):
-            path = os.path.join(config.cache_dir, name)
-            try:
-                n = characters.load_table(path)
-            except characters.CacheError as exc:
-                report.check("cache-file-valid", False, str(exc))
-                continue
-            loaded.append({"file": name, "n": n})
-    if loaded:
-        report.payload["cache_loaded"] = loaded
-
-
 def no_extension_payload(cert) -> dict:
     out = {"reason": cert.reason}
     if cert.index is not None:
@@ -295,7 +271,6 @@ def cmd_construct(args, config: RunConfig) -> Report:
     mu = parse_partition(args.mu)
     n_limit = max(DEFAULT_N_MAX, config.n_max or 0, cdes.DEFAULT_N_LIMIT)
     report = Report("construct", {"mu": list(mu)}, {})
-    maybe_load_cache(config, report)
     sol = cdes.construct_extension(mu, n_limit)
     if isinstance(sol, cdes.Infeasible):
         payload = {
@@ -324,36 +299,6 @@ def cmd_construct(args, config: RunConfig) -> Report:
     )
     for name, ok in sorted(sol.axioms.items()):
         report.check(f"axiom-{name}", ok)
-    return report
-
-
-def cmd_cache(args, config: RunConfig) -> Report:
-    if args.cache_cmd == "dump":
-        n = args.n
-        if n < 1:
-            raise UsageError("cache dump needs n >= 1")
-        if args.output:
-            path = args.output
-        elif config.cache_dir:
-            os.makedirs(config.cache_dir, exist_ok=True)
-            path = os.path.join(config.cache_dir, f"{CACHE_FILE_PREFIX}{n:02d}.json")
-        else:
-            raise UsageError("cache dump needs --output or a cache directory")
-        report = Report("cache-dump", {"n": n, "path": path}, {})
-        characters.dump_table(n, path)
-        reloaded = characters.load_table(path)
-        report.payload = {"path": path, "records": len(characters.character_table(n))}
-        report.check("round-trip-identity", reloaded == n)
-        return report
-    report = Report("cache-load", {"path": args.path}, {})
-    try:
-        n = characters.load_table(args.path)
-    except characters.CacheError as exc:
-        report.payload = {"loaded": False}
-        report.check("cache-file-valid", False, str(exc))
-        return report
-    report.payload = {"loaded": True, "n": n}
-    report.check("cache-file-valid", True)
     return report
 
 
@@ -431,7 +376,7 @@ def suite_unimodality(config: RunConfig, report: Report) -> None:
     """Hook multiplicity sequences are unimodal in the scanned range;
     counterexamples are reported, never assumed absent."""
     r_max = config.r_max or DEFAULT_R_MAX
-    s_max = config.s_max or DEFAULT_S_MAX
+    s_max = config.s_max or UNIMODALITY_S_MAX
     report.parameters.update({"r_max": r_max, "s_max": s_max})
     violations = []
     for r in range(1, r_max + 1):
@@ -548,7 +493,6 @@ SUITES: Dict[str, Callable[[RunConfig, Report], None]] = {
 
 def cmd_verify(args, config: RunConfig) -> Report:
     report = Report("verify", {"suite": args.suite}, {})
-    maybe_load_cache(config, report)
     SUITES[args.suite](config, report)
     return report
 
@@ -561,8 +505,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r-max", type=int, default=None, help="scan bound on r")
     sp.add_argument("--s-max", type=int, default=None, dest="s_max_common",
                     help="scan bound on s")
-    sp.add_argument("--cache-dir", default=None,
-                    help=f"character table directory (default ${CACHE_DIR_ENV})")
     sp.add_argument("--format", choices=sorted(RENDERERS), default="text",
                     help="report format on stdout")
 
@@ -604,16 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reflect", action="store_true", help="also print at -x")
     _add_common(sp)
 
-    sp = sub.add_parser("cache", help="character table persistence")
-    cache_sub = sp.add_subparsers(dest="cache_cmd", required=True)
-    spd = cache_sub.add_parser("dump")
-    spd.add_argument("--n", type=int, required=True)
-    spd.add_argument("--output", default=None)
-    _add_common(spd)
-    spl = cache_sub.add_parser("load")
-    spl.add_argument("path")
-    _add_common(spl)
-
     return parser
 
 
@@ -624,7 +556,6 @@ COMMANDS = {
     "construct": cmd_construct,
     "cellini": cmd_cellini,
     "witt": cmd_witt,
-    "cache": cmd_cache,
 }
 
 
@@ -640,7 +571,6 @@ def config_from_args(args) -> RunConfig:
         n_max=getattr(args, "n_max", None),
         r_max=getattr(args, "r_max", None),
         s_max=s_common,
-        cache_dir=getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV),
         output_format=getattr(args, "format", "text"),
     )
 

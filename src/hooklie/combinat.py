@@ -1,4 +1,5 @@
-"""Partitions, permutations by cycle type, tableaux, descents, subsets.
+"""Partitions, permutations by cycle type, straight-shape tableaux, descents,
+subsets.
 
 Conventions used across the package:
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "is_squarefree",
     "divisors",
     "is_partition",
-    "partitions",
     "partition_list",
     "centralizer_order",
     "class_size",
@@ -36,7 +35,6 @@ __all__ = [
     "subset_elements",
     "mask_from_elements",
     "Tableau",
-    "ColumnRowShape",
     "standard_tableaux",
     "syt_descent_counts",
     "kostka_number",
@@ -122,10 +120,6 @@ def partition_list(n: int) -> tuple[tuple[int, ...], ...]:
 
     rec(n, n, [])
     return tuple(out)
-
-
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    return iter(partition_list(n))
 
 
 def centralizer_order(mu) -> int:
@@ -336,23 +330,6 @@ def mask_from_elements(elems) -> int:
 
 
 @dataclass(frozen=True)
-class ColumnRowShape:
-    """Disconnected shape: a column of `column` cells strictly below and
-    left of a row of `row` cells.  The only skew-like family supported."""
-
-    column: int
-    row: int
-
-    def __post_init__(self):
-        if self.column < 0 or self.row < 1:
-            raise ValueError("need column >= 0 and row >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.column + self.row
-
-
-@dataclass(frozen=True)
 class Tableau:
     """Rows of entries, top row first; lower rows have larger index."""
 
@@ -393,26 +370,12 @@ def _straight_syt(shape: tuple[int, ...]) -> Iterator[Tableau]:
     return rec(1)
 
 
-def _column_row_syt(shape: ColumnRowShape) -> Iterator[Tableau]:
-    n = shape.size
-    universe = range(1, n + 1)
-    for col in combinations(universe, shape.column):
-        taken = set(col)
-        top = tuple(v for v in universe if v not in taken)
-        yield Tableau((top,) + tuple((c,) for c in col))
-
-
 def standard_tableaux(shape) -> Iterator[Tableau]:
-    """Standard Young tableaux of a straight shape, or of a column-plus-row
-    direct sum.  General skew shapes are rejected."""
-    if isinstance(shape, ColumnRowShape):
-        return _column_row_syt(shape)
+    """Standard Young tableaux of a straight shape, given as a partition
+    tuple.  Skew shapes are rejected."""
     if isinstance(shape, tuple):
         return _straight_syt(_check_partition(shape))
-    raise TypeError(
-        "shape must be a partition tuple or ColumnRowShape; "
-        "general skew shapes are not supported"
-    )
+    raise TypeError("shape must be a partition tuple; skew shapes are not supported")
 
 
 @lru_cache(maxsize=None)

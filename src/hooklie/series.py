@@ -15,7 +15,6 @@ __all__ = [
     "IntPolynomial",
     "BiSeries",
     "witt_transform",
-    "divide_exact",
     "is_unimodal",
 ]
 
@@ -268,10 +267,6 @@ def witt_transform(p: IntPolynomial, r: int) -> IntPolynomial:
     if bad:
         raise ArithmeticError(f"Witt transform not integral at r={r}")
     return IntPolynomial(v // r for v in acc.coeffs)
-
-
-def divide_exact(p: IntPolynomial, q: IntPolynomial) -> Optional[IntPolynomial]:
-    return p.divide_exact(q)
 
 
 def is_unimodal(seq) -> bool:

@@ -7,25 +7,19 @@ enumeration lives on in tests/brute_force.py, and the plethysm route is
 compared against it on every small centralizer.
 """
 
-import json
 import math
 from fractions import Fraction
 
 import pytest
 from brute_force import higher_lie_by_enumeration
 
-from hooklie import characters
 from hooklie.characters import (
-    CacheError,
-    character_table,
     character_value,
-    dump_table,
     higher_lie_character,
     hook_mults_oracle,
     hook_shape,
     inner_product,
     irreducible_character,
-    load_table,
     schur_multiplicities,
 )
 from hooklie.combinat import (
@@ -211,68 +205,3 @@ def test_hook_shape():
     assert hook_shape(5, 0) == (5,)
     assert hook_shape(5, 2) == (3, 1, 1)
     assert hook_shape(5, 4) == (1, 1, 1, 1, 1)
-
-
-# -- character table persistence ---------------------------------------------
-
-
-def test_character_table_is_complete():
-    n = 5
-    table = character_table(n)
-    shapes = partition_list(n)
-    assert len(table) == len(shapes) ** 2
-    seen = {(lam, mu) for lam, mu, _ in table}
-    assert seen == {(a, b) for a in shapes for b in shapes}
-
-
-def test_dump_and_load_round_trip(tmp_path):
-    path = tmp_path / "sn-05.json"
-    dump_table(5, str(path))
-    characters.clear_memo()
-    assert load_table(str(path)) == 5
-    # values seeded by the load agree with fresh computation
-    assert character_value((3, 2), (2, 2, 1)) == 1
-    characters.clear_memo()
-
-
-def test_load_rejects_checksum_tamper(tmp_path):
-    path = tmp_path / "sn-04.json"
-    dump_table(4, str(path))
-    doc = json.loads(path.read_text())
-    doc["records"][0][2] = "123456"
-    path.write_text(json.dumps(doc))
-    characters.clear_memo()
-    with pytest.raises(CacheError, match="checksum"):
-        load_table(str(path))
-
-
-def test_load_rejects_wrong_version(tmp_path):
-    path = tmp_path / "sn-03.json"
-    dump_table(3, str(path))
-    doc = json.loads(path.read_text())
-    doc["version"] = 999
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CacheError, match="version"):
-        load_table(str(path))
-
-
-def test_load_rejects_wrong_format(tmp_path):
-    path = tmp_path / "sn-03.json"
-    dump_table(3, str(path))
-    doc = json.loads(path.read_text())
-    doc["format"] = "something-else"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CacheError, match="format"):
-        load_table(str(path))
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(CacheError):
-        load_table(str(path))
-
-
-def test_load_missing_file(tmp_path):
-    with pytest.raises(CacheError):
-        load_table(str(tmp_path / "absent.json"))

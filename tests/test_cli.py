@@ -1,5 +1,5 @@
 """Tests for the command line front end: exit codes, deterministic reports,
-construct dumps, cache handling, and cold-versus-warm equality."""
+construct dumps, and module runs that no outside file can influence."""
 
 import hashlib
 import json
@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from hooklie import characters
+from hooklie.characters import character_value
 from hooklie.cli import main, parse_partition, UsageError
+from hooklie.combinat import partition_list
 
 
 def run(argv, capsys):
@@ -229,74 +230,11 @@ def test_construct_escher_note(capsys):
     assert "Escher" in doc["payload"]["note"]
 
 
-# -- cache plumbing ----------------------------------------------------------
-
-
-def test_cache_dump_load_cycle(tmp_path, capsys):
-    path = tmp_path / "sn-04.json"
-    code, doc, _ = run_json(["cache", "dump", "--n", "4", "--output", str(path)], capsys)
-    assert code == 0
-    assert doc["passed"] is True
-    characters.clear_memo()
-    code, doc, _ = run_json(["cache", "load", str(path)], capsys)
-    assert code == 0
-    assert doc["payload"] == {"loaded": True, "n": 4}
-    characters.clear_memo()
-
-
-def test_cache_load_tampered_fails(tmp_path, capsys):
-    path = tmp_path / "sn-04.json"
-    main(["cache", "dump", "--n", "4", "--output", str(path)])
-    capsys.readouterr()
-    doc = json.loads(path.read_text())
-    doc["records"][0][2] = "777"
-    path.write_text(json.dumps(doc))
-    characters.clear_memo()
-    code, out, _ = run(["cache", "load", str(path), "--format", "json"], capsys)
-    assert code == 1
-    report = json.loads(out)
-    assert report["passed"] is False
-    assert report["payload"]["loaded"] is False
-    characters.clear_memo()
-
-
-def test_corrupt_cache_dir_fails_but_continues(tmp_path, capsys):
-    good = tmp_path / "sn-03.json"
-    main(["cache", "dump", "--n", "3", "--output", str(good)])
-    capsys.readouterr()
-    bad = tmp_path / "sn-09.json"
-    bad.write_text("{broken")
-    characters.clear_memo()
-    code, doc, _ = run_json(
-        ["verify", "kw-identity", "--n-max", "4", "--cache-dir", str(tmp_path)],
-        capsys,
-    )
-    assert code == 1  # the invalid file is a failed assertion
-    names = [a["name"] for a in doc["assertions"]]
-    assert "cache-file-valid" in names
-    suite_checks = [a for a in doc["assertions"] if a["name"] != "cache-file-valid"]
-    assert all(a["passed"] for a in suite_checks)
-    characters.clear_memo()
-
-
-def test_cache_env_var_is_picked_up(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "sn-03.json"
-    main(["cache", "dump", "--n", "3", "--output", str(path)])
-    capsys.readouterr()
-    characters.clear_memo()
-    monkeypatch.setenv("HOOKLIE_CACHE_DIR", str(tmp_path))
-    code, doc, _ = run_json(["verify", "kw-identity", "--n-max", "3"], capsys)
-    assert code == 0
-    assert doc["payload"]["cache_loaded"] == [{"file": "sn-03.json", "n": 3}]
-    characters.clear_memo()
-
-
-# -- cold versus warm runs ---------------------------------------------------
+# -- module runs -------------------------------------------------------------
 
 
 def _module_run(args, env_extra=None):
     env = dict(os.environ)
-    env.pop("HOOKLIE_CACHE_DIR", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -309,25 +247,46 @@ def _module_run(args, env_extra=None):
     return proc
 
 
-def test_cold_and_warm_runs_agree(tmp_path):
-    cache_dir = tmp_path / "warm"
-    cache_dir.mkdir()
-    dump = _module_run(
-        ["cache", "dump", "--n", "5", "--cache-dir", str(cache_dir), "--format", "json"]
-    )
-    assert dump.returncode == 0, dump.stderr
-    cold = _module_run(["verify", "gr-fibers", "--n-max", "5", "--format", "json"])
-    warm = _module_run(
-        ["verify", "gr-fibers", "--n-max", "5", "--format", "json"],
-        env_extra={"HOOKLIE_CACHE_DIR": str(cache_dir)},
-    )
-    assert cold.returncode == 0, cold.stderr
-    assert warm.returncode == 0, warm.stderr
-    cold_doc = json.loads(cold.stdout)
-    warm_doc = json.loads(warm.stdout)
-    # identical apart from the cache-loading provenance note
-    warm_doc["payload"].pop("cache_loaded")
-    assert cold_doc == warm_doc
+def _write_tampered_s4_table(path):
+    """A well-formed S_4 character table in the versioned, checksummed
+    format of the former table cache, with chi^(3,1)(2,1,1) set to 5
+    (the true value is 1) and the checksum recomputed to match."""
+    shapes = sorted(partition_list(4))
+    records = [
+        [list(lam), list(mu), str(character_value(lam, mu))]
+        for lam in shapes
+        for mu in shapes
+    ]
+    for row in records:
+        if row[:2] == [[3, 1], [2, 1, 1]]:
+            row[2] = "5"
+    canonical = json.dumps(records, separators=(",", ":"), sort_keys=True)
+    doc = {
+        "format": "sn-character-table",
+        "version": 1,
+        "n": 4,
+        "sha256": hashlib.sha256(canonical.encode("ascii")).hexdigest(),
+        "records": records,
+    }
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def test_table_file_cannot_change_results(tmp_path, capsys):
+    # no file from outside the program may change a computed number
+    table = tmp_path / "sn-04.json"
+    _write_tampered_s4_table(table)
+    args = ["verify", "gr-fibers", "--n-max", "4", "--format", "json"]
+    plain = _module_run(args)
+    seeded = _module_run(args, env_extra={"HOOKLIE_CACHE_DIR": str(tmp_path)})
+    assert plain.returncode == 0, plain.stderr
+    assert (seeded.returncode, seeded.stdout) == (plain.returncode, plain.stdout)
+    for argv in (
+        ["cache", "load", str(table)],
+        ["verify", "gr-fibers", "--cache-dir", str(tmp_path)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_console_entry_matches_module_run(tmp_path):

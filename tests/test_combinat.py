@@ -12,7 +12,6 @@ from itertools import permutations
 import pytest
 
 from hooklie.combinat import (
-    ColumnRowShape,
     Tableau,
     cellini_descent_set,
     centralizer_order,
@@ -28,7 +27,6 @@ from hooklie.combinat import (
     mask_from_elements,
     moebius,
     partition_list,
-    partitions,
     restricted_partitions,
     rotate_subset,
     standard_tableaux,
@@ -72,11 +70,6 @@ def test_partition_counts_match_euler():
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for n, want in enumerate(expected):
         assert len(partition_list(n)) == want
-
-
-def test_partitions_iterator_agrees_with_list():
-    for n in range(8):
-        assert tuple(partitions(n)) == partition_list(n)
 
 
 def test_partition_list_starts_with_single_row():
@@ -286,26 +279,6 @@ def test_hook_tableau_descents():
             assert len(descent_sets) == len(tabs)
             for mask in descent_sets:
                 assert len(subset_elements(mask)) == k
-
-
-def test_column_row_tableaux_count():
-    # a disjoint column of size c and row of size r admit binom(c+r, c)
-    # standard fillings: any c values may go down the column
-    for c in range(0, 4):
-        for r in range(1, 5):
-            shape = ColumnRowShape(c, r)
-            assert len(list(standard_tableaux(shape))) == math.comb(c + r, c)
-
-
-def test_column_row_descents_match_direct_definition():
-    shape = ColumnRowShape(2, 2)
-    seen = {}
-    for t in standard_tableaux(shape):
-        seen[t.rows] = subset_elements(t.descent_set())
-    # column gets values {a < b}: descents are a (drop into the column)
-    # when a+1 is below, and b when b+1 is below b's cell
-    assert seen[((3, 4), (1,), (2,))] == (1,)
-    assert seen[((1, 2), (3,), (4,))] == (2, 3)
 
 
 def test_general_skew_shapes_rejected():
