@@ -1,5 +1,14 @@
 """Cyclic descent extensions on conjugacy classes.
 
+The Des fibers of a class come from Gessel and Reutenauer's identity
+#{pi in the class of mu : Des(pi) inside S} = <ch psi^mu, h_alpha(S)>,
+with alpha(S) the composition of n with partial sums S: one pairing per
+partition of n (characters.h_pairings), then Moebius inversion over the
+subsets of [n-1].  No class element is walked, so the cost follows
+2^(n-1) and not the class size.  Enumerating the class is the test oracle
+(tests/brute_force.py); only construct_extension and cellini_closed, which
+need the elements themselves, still walk the class.
+
 A cyclic extension assigns to every pi in the class a set cDes(pi) with
 cDes(pi) intersect [n-1] = Des(pi), together with a bijection p of the
 class satisfying cDes(p(pi)) = sh(cDes(pi)), such that no cDes is empty
@@ -17,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from . import characters
@@ -28,6 +38,7 @@ from .combinat import (
     full_mask,
     is_partition,
     kostka_number,
+    partition_list,
     rotate_subset,
     subset_elements,
     syt_descent_counts,
@@ -49,16 +60,20 @@ __all__ = [
     "write_extension",
 ]
 
+# The n limit bounds the walks over subsets: descent_distribution's table
+# of 2^(n-1) subsets of [n-1] and solve_extension's 2^n subsets of [n].
 DEFAULT_N_LIMIT = 10
 # The largest class the default n limit lets through: (n-1, 1) is the
-# largest class of S_n for n >= 4, here 403,200 elements.  A raised n limit
-# does not raise this cost bound.
+# largest class of S_n for n >= 4, here 403,200 elements.  It bounds the
+# routes that walk the class (construct_extension, cellini_closed); a
+# raised n limit does not raise it.
 CLASS_SIZE_LIMIT = class_size((DEFAULT_N_LIMIT - 1, 1))
 
 
 @dataclass(frozen=True)
 class DescentDistribution:
-    """Des-fiber sizes of a conjugacy class, keyed by subset mask."""
+    """Des-fiber sizes of a conjugacy class, keyed by subset mask of
+    [n-1]; only the nonzero fibers are stored."""
 
     n: int
     fibers: Dict[int, int]
@@ -102,13 +117,20 @@ class CyclicExtensionSolution:
     axioms: Dict[str, bool] = field(default_factory=dict)
 
 
-def _check_class(mu, n_limit: int) -> Tuple[int, ...]:
+def _check_n(mu, n_limit: int, limit: str = "n limit") -> Tuple[int, ...]:
     mu = tuple(mu)
     if not is_partition(mu) or not mu:
         raise ValueError(f"not a partition: {mu!r}")
     n = sum(mu)
     if n > n_limit:
-        raise ValueError(f"class of S_{n} exceeds the enumeration limit {n_limit}")
+        raise ValueError(f"class of S_{n} exceeds the {limit} {n_limit}")
+    return mu
+
+
+def _check_class(mu, n_limit: int) -> Tuple[int, ...]:
+    """_check_n for the routes that walk the class, which also refuse a
+    class with more than CLASS_SIZE_LIMIT elements."""
+    mu = _check_n(mu, n_limit, "enumeration limit")
     size = class_size(mu)
     if size > CLASS_SIZE_LIMIT:
         raise ValueError(
@@ -118,13 +140,52 @@ def _check_class(mu, n_limit: int) -> Tuple[int, ...]:
     return mu
 
 
+@lru_cache(maxsize=None)
+def _composition_shapes(n: int) -> Tuple[int, ...]:
+    """For every subset S of [n-1], by mask, the index in partition_list(n)
+    of the parts of alpha(S), sorted: the composition of n whose partial
+    sums are the elements of S."""
+    index = {lam: k for k, lam in enumerate(partition_list(n))}
+    shapes = []
+    for mask in range(1 << (n - 1)):
+        cuts = (0,) + subset_elements(mask) + (n,)
+        parts = sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True)
+        shapes.append(index[tuple(parts)])
+    return tuple(shapes)
+
+
 def descent_distribution(mu, n_limit: int = DEFAULT_N_LIMIT) -> DescentDistribution:
-    """Des-fiber sizes over the full conjugacy class of mu."""
-    mu = _check_class(mu, n_limit)
+    """Des-fiber sizes over the full conjugacy class of mu, by
+    Gessel-Reutenauer: #{pi : Des(pi) inside S} is the pairing of
+    characters.h_pairings at the sorted parts of alpha(S), and Moebius
+    inversion over the subsets of [n-1], one element at a time, gives
+    #{pi : Des(pi) = S} in O(n 2^(n-1)).
+
+    Nothing is enumerated, so the class size does not bound the cost; a
+    class of S_n with n > n_limit is refused with ValueError, since the
+    table has 2^(n-1) entries.  A negative fiber, or fibers that do not sum
+    to the class size, raise ArithmeticError.
+    """
+    mu = _check_n(mu, n_limit)
+    n = sum(mu)
+    pairings = characters.h_pairings(mu)
+    values = [pairings[lam] for lam in partition_list(n)]
+    table = [values[k] for k in _composition_shapes(n)]  # #{Des inside S}
+    size = len(table)
+    bit = 1
+    while bit < size:
+        for base in range(0, size, 2 * bit):
+            for mask in range(base + bit, base + 2 * bit):
+                table[mask] -= table[mask - bit]
+        bit <<= 1
     fibers: Dict[int, int] = {}
-    for pi in conjugacy_class(mu):
-        d = descent_set(pi)
-        fibers[d] = fibers.get(d, 0) + 1
+    for mask, count in enumerate(table):
+        if count:
+            if count < 0:
+                raise ArithmeticError(
+                    f"negative Des fiber {count} at {subset_elements(mask)} for {mu}"
+                )
+            fibers[mask] = count
     return _checked_distribution(mu, fibers)
 
 

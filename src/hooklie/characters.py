@@ -7,6 +7,9 @@ the product over part sizes i of h_(k_i)[Lie_i], with k_i the number of
 parts i of mu and Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d).
 It is expanded in a sparse power-sum algebra over Fraction, and
 psi^mu(nu) = z_nu [p_nu] ch psi^mu; no group element is enumerated.
+The same expansion gives the pairings <ch psi^mu, h_lam> that count the
+class elements by descent set (Gessel-Reutenauer), through the power-sum
+pairing <p_nu, h_lam> = R(nu, lam) on one memo table shared by every class.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "inner_product",
     "schur_multiplicities",
     "hook_mults_oracle",
+    "h_pairings",
     "hook_shape",
     "clear_memo",
 ]
@@ -273,8 +277,75 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
     return tuple(out)
 
 
+# -- Gessel-Reutenauer pairings ----------------------------------------------
+
+_R_MEMO: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+
+
+def _drop_count(parts: Tuple[int, ...], caps: Tuple[int, ...]) -> int:
+    """R(parts, caps): the ways to drop the parts (distinguishable, largest
+    first) into labelled blocks of remaining capacities caps (decreasing,
+    no zeros) so that every block ends exactly full.  Needs sum(parts) ==
+    sum(caps).  R(nu, lam) = <p_nu, h_lam>, the coefficient of m_lam in p_nu.
+
+    Memoized on (remaining parts, sorted remaining capacities), which does
+    not depend on the class, so every class of every n shares the table.
+    """
+    if not parts:
+        return 1
+    first = parts[0]
+    if first > caps[0]:
+        return 0
+    key = (parts, caps)
+    hit = _R_MEMO.get(key)
+    if hit is not None:
+        return hit
+    rest = parts[1:]
+    total = 0
+    i, ell = 0, len(caps)
+    while i < ell and caps[i] >= first:
+        cap = caps[i]
+        j = i + 1
+        while j < ell and caps[j] == cap:
+            j += 1
+        # the j - i blocks of capacity cap are labelled, so each is one way
+        others = caps[:i] + caps[i + 1 :]
+        left = cap - first
+        if left:
+            others = tuple(sorted(others + (left,), reverse=True))
+        total += (j - i) * _drop_count(rest, others)
+        i = j
+    _R_MEMO[key] = total
+    return total
+
+
+def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
+    """<ch psi^mu, h_lam> for every lam |- n, as sum over nu of
+    [p_nu] ch psi^mu * R(nu, lam).
+
+    By Gessel and Reutenauer (JCTA 64, 1993), this counts the elements of
+    the class of mu whose descent set lies inside any S with composition
+    alpha(S) a rearrangement of lam.  Each pairing is checked to be an
+    integer >= 0; ArithmeticError otherwise.
+    """
+    mu = _checked_class(mu)
+    ch = _frobenius(mu)
+    den = math.lcm(*(c.denominator for c in ch.values()))
+    terms = [(nu, c.numerator * (den // c.denominator)) for nu, c in ch.items()]
+    out: Dict[Tuple[int, ...], int] = {}
+    for lam in partition_list(sum(mu)):
+        acc = sum(c * _drop_count(nu, lam) for nu, c in terms)
+        if acc % den or acc < 0:
+            raise ArithmeticError(
+                f"<ch psi^{mu}, h_{lam}> is {Fraction(acc, den)}, not a count"
+            )
+        out[lam] = acc // den
+    return out
+
+
 def clear_memo() -> None:
     """Drop all memoized character data (mainly for tests)."""
     _MN_MEMO.clear()
+    _R_MEMO.clear()
     _frobenius.cache_clear()
     irreducible_character.cache_clear()

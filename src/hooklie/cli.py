@@ -3,8 +3,9 @@
 Subcommands: hooks, series, verify <suite>, construct, cellini, witt.
 Reports render as json (deterministic given command and config; no file
 is read), csv, or text; timing always goes to stderr.
-Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage
-errors (including a class over the enumeration limit).
+Exit codes: 0 all assertions passed, 1 an assertion failed (including an
+exactness check that raised ArithmeticError), 2 usage errors (including a
+class over the n limit or the enumeration limit).
 """
 
 from __future__ import annotations
@@ -305,9 +306,9 @@ def cmd_construct(args, config: RunConfig) -> Report:
 # -- verification suites -----------------------------------------------------
 
 
-def _feasible(mu) -> bool:
+def _feasible(mu, n_limit: int) -> bool:
     return not isinstance(
-        cdes.solve_extension(cdes.descent_distribution(mu)), cdes.Infeasible
+        cdes.solve_extension(cdes.descent_distribution(mu, n_limit)), cdes.Infeasible
     )
 
 
@@ -320,13 +321,14 @@ def suite_main_theorem(config: RunConfig, report: Report) -> None:
     """Extension exists iff the class is not a rectangle with square-free
     part size; exhaustive over n <= n_max."""
     n_max = config.n_max or DEFAULT_N_MAX
+    n_limit = max(n_max, cdes.DEFAULT_N_LIMIT)
     report.parameters["n_max"] = n_max
     scanned = 0
     for n in range(1, n_max + 1):
         bad = []
         for mu in partition_list(n):
             scanned += 1
-            if _feasible(mu) != _expected_feasible(mu):
+            if _feasible(mu, n_limit) != _expected_feasible(mu):
                 bad.append(list(mu))
         report.check(
             f"feasibility-matches-squarefree-rectangle-characterization-n={n}",
@@ -390,14 +392,16 @@ def suite_unimodality(config: RunConfig, report: Report) -> None:
 
 
 def suite_gr_fibers(config: RunConfig, report: Report) -> None:
-    """Schur-expansion descent fibers match brute-force enumeration for
-    every class and every descent set, n <= n_max."""
+    """Schur-expansion descent fibers (multiplicities times standard
+    tableaux by descent set) match the Gessel-Reutenauer fibers of
+    descent_distribution for every class and every descent set, n <= n_max."""
     n_max = config.n_max or 6
+    n_limit = max(n_max, cdes.DEFAULT_N_LIMIT)
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []
         for mu in partition_list(n):
-            dist = cdes.descent_distribution(mu)
+            dist = cdes.descent_distribution(mu, n_limit)
             for mask in range(1 << (n - 1)):
                 predicted = cdes.straight_ribbon_fiber(mu, mask)
                 if predicted != dist.count(mask):
@@ -460,12 +464,13 @@ def suite_affine_fibers(config: RunConfig, report: Report) -> None:
     """For every feasible class, the inclusion-exclusion of cyclic ribbon
     characters reproduces every solved cDes fiber size, n <= n_max."""
     n_max = config.n_max or 7
+    n_limit = max(n_max, cdes.DEFAULT_N_LIMIT)
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []
         feasible = 0
         for mu in partition_list(n):
-            sol = cdes.solve_extension(cdes.descent_distribution(mu))
+            sol = cdes.solve_extension(cdes.descent_distribution(mu, n_limit))
             if isinstance(sol, cdes.Infeasible):
                 continue
             feasible += 1
@@ -585,6 +590,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an exactness check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started
     print(RENDERERS[config.output_format](report))
     print(f"elapsed-seconds: {elapsed:.3f}", file=sys.stderr)

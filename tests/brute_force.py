@@ -7,6 +7,10 @@ a cyclotomic polynomial.  It shares no code with the plethysm route in
 hooklie.characters.  The cost is the centralizer order, so use it on small
 centralizers only.
 
+descent_distribution_by_enumeration walks the conjugacy class and counts
+each descent set; it is the reference for the Gessel-Reutenauer route of
+hooklie.cdes.descent_distribution, and costs the class size.
+
 extension_records builds the document of a construct dump as a dict, with
 des recomputed from each permutation; json.dumps of it with sort_keys=True
 and indent=1 is the reference for the streaming hooklie.cdes.write_extension.
@@ -19,8 +23,10 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Dict
 
+from hooklie.cdes import DescentDistribution
 from hooklie.combinat import (
     centralizer_order,
+    conjugacy_class,
     cycle_type,
     descent_set,
     divisors,
@@ -134,6 +140,16 @@ def higher_lie_by_enumeration(mu) -> Dict[tuple, int]:
             raise ArithmeticError(f"non-integral induced value at {ctype}")
         values[ctype] = num // z
     return values
+
+
+def descent_distribution_by_enumeration(mu) -> DescentDistribution:
+    """Des-fiber sizes of the class of mu by walking every element."""
+    mu = tuple(mu)
+    fibers: Dict[int, int] = {}
+    for pi in conjugacy_class(mu):
+        d = descent_set(pi)
+        fibers[d] = fibers.get(d, 0) + 1
+    return DescentDistribution(sum(mu), fibers)
 
 
 def extension_records(sol) -> dict:

@@ -7,6 +7,8 @@ character-theoretic oracle, a brute-force enumeration, or a frozen
 hand-verified constant — with exact integer equality throughout.
 """
 
+from brute_force import descent_distribution_by_enumeration
+
 from hooklie import cdes, characters, lie
 from hooklie.combinat import (
     conjugacy_class,
@@ -89,7 +91,7 @@ def test_criterion_03_main_theorem_scan():
     bad = []
     for n in range(1, 9):
         for mu in partition_list(n):
-            sol = cdes.solve_extension(cdes.descent_distribution(mu))
+            sol = cdes.solve_extension(descent_distribution_by_enumeration(mu))
             feasible = not isinstance(sol, cdes.Infeasible)
             rect = lie._rectangle(mu)
             expected = not (rect is not None and is_squarefree(rect[0]))
@@ -206,7 +208,7 @@ def test_criterion_09_straight_ribbon_fibers():
     bad = []
     for n in range(1, 7):
         for mu in partition_list(n):
-            dist = cdes.descent_distribution(mu)
+            dist = descent_distribution_by_enumeration(mu)
             for mask in range(1 << (n - 1)):
                 if cdes.straight_ribbon_fiber(mu, mask) != dist.count(mask):
                     bad.append((mu, tuple(subset_elements(mask))))

@@ -1,13 +1,17 @@
 """Tests for descent fibers, the cyclic extension solver/constructor and its
-dump writer, the Cellini closure scan, and the two ribbon-fiber formulas."""
+dump writer, the Cellini closure scan, and the two ribbon-fiber formulas.
+
+The Gessel-Reutenauer descent fibers are compared against the class
+enumeration of tests/brute_force.py."""
 
 import io
 import json
+import math
 
 import pytest
-from brute_force import extension_records
+from brute_force import descent_distribution_by_enumeration, extension_records
 
-from hooklie import cdes
+from hooklie import cdes, characters
 from hooklie.cdes import (
     CyclicExtensionSolution,
     FiberSolution,
@@ -70,12 +74,31 @@ def test_distribution_identity_class():
 def test_distribution_rejects_oversized_class():
     with pytest.raises(ValueError):
         descent_distribution((11,))
-    # a raised n limit does not raise the size bound: (11) has 10! elements
+    # a raised n limit does not raise the size bound of the class walks
     largest = max(class_size(mu) for mu in partition_list(cdes.DEFAULT_N_LIMIT))
     assert cdes.CLASS_SIZE_LIMIT == largest == 403_200
-    for call in (descent_distribution, cdes.construct_extension, cellini_closed):
+    for call in (cdes.construct_extension, cellini_closed):
         with pytest.raises(ValueError, match="enumeration limit"):
             call((11,), n_limit=11)
+    # descent fibers walk no class element, so (11), with 10! of them, runs
+    dist = descent_distribution((11,), n_limit=11)
+    assert sum(dist.fibers.values()) == math.factorial(10) == 3_628_800
+
+
+def test_distribution_matches_enumeration():
+    classes = [mu for n in range(1, 9) for mu in partition_list(n)]
+    classes += [(9,), (3, 3, 3), (1,) * 9]
+    for mu in classes:
+        want = descent_distribution_by_enumeration(mu)
+        assert descent_distribution(mu) == want, mu
+
+
+def test_distribution_refuses_negative_fiber(monkeypatch):
+    # #{Des inside {}} = 2 > #{Des inside {1}} = 1 makes the fiber of {1} -1
+    doctored = {(3,): 2, (2, 1): 1, (1, 1, 1): 3}
+    monkeypatch.setattr(characters, "h_pairings", lambda mu: doctored)
+    with pytest.raises(ArithmeticError, match="negative"):
+        descent_distribution((2, 1))
 
 
 # -- solver ------------------------------------------------------------------
@@ -134,11 +157,12 @@ def test_solver_infeasible_examples():
 
 
 def test_solver_feasibility_matches_certificate_dichotomy():
-    # rectangle with square-free part size <=> infeasible (scan n <= 7)
+    # rectangle with square-free part size <=> infeasible (scan n <= 10,
+    # on Gessel-Reutenauer fibers: no class is walked)
     from hooklie.combinat import is_squarefree
     from hooklie.lie import _rectangle
 
-    for n in range(1, 8):
+    for n in range(1, 11):
         for mu in partition_list(n):
             sol = solve_extension(descent_distribution(mu))
             rect = _rectangle(mu)
@@ -349,7 +373,7 @@ def test_straight_fiber_examples():
 def test_straight_fibers_match_brute_force():
     for n in range(1, 7):
         for mu in partition_list(n):
-            dist = descent_distribution(mu)
+            dist = descent_distribution_by_enumeration(mu)
             for mask in range(1 << max(0, n - 1)):
                 assert straight_ribbon_fiber(mu, mask) == dist.count(mask), (
                     mu,

@@ -8,13 +8,18 @@ compared against it on every small centralizer.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from brute_force import higher_lie_by_enumeration
 
+from hooklie import characters
 from hooklie.characters import (
+    _drop_count,
     character_value,
+    h_pairings,
     higher_lie_character,
     hook_mults_oracle,
     hook_shape,
@@ -199,6 +204,39 @@ def test_hook_mults_oracle_matches_schur_expansion():
             mults = schur_multiplicities(mu)
             hooks = tuple(mults[hook_shape(n, k)] for k in range(n))
             assert hook_mults_oracle(mu) == hooks, mu
+
+
+# -- Gessel-Reutenauer pairings ----------------------------------------------
+
+
+def test_drop_count_matches_assignment_count():
+    # R(nu, lam) against a count over every assignment of the parts of nu to
+    # len(nu) labelled blocks; a block-sum vector is read as the digits of
+    # one integer in base n + 1, and lam pads to it with empty blocks
+    for n in range(1, 8):
+        base = n + 1
+        for nu in partition_list(n):
+            k = len(nu)
+            weights = [[p * base**b for b in range(k)] for p in nu]
+            counts = Counter(map(sum, product(*weights)))
+            for lam in partition_list(n):
+                code = sum(x * base**b for b, x in enumerate(lam))
+                want = counts[code] if len(lam) <= k else 0
+                assert _drop_count(nu, lam) == want, (nu, lam)
+
+
+def test_h_pairings_transpositions_of_s3():
+    # 213, 132, 321: Des inside {} none, inside {1} one, inside {1,2} all
+    assert h_pairings((2, 1)) == {(3,): 0, (2, 1): 1, (1, 1, 1): 3}
+
+
+def test_h_pairings_refuse_non_counts(monkeypatch):
+    monkeypatch.setattr(characters, "_frobenius", lambda mu: {(1, 1): Fraction(1, 3)})
+    with pytest.raises(ArithmeticError):
+        h_pairings((1, 1))
+    monkeypatch.setattr(characters, "_frobenius", lambda mu: {(1, 1): Fraction(-1)})
+    with pytest.raises(ArithmeticError):
+        h_pairings((1, 1))
 
 
 def test_hook_shape():

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from hooklie import cdes
 from hooklie.characters import character_value
 from hooklie.cli import main, parse_partition, UsageError
 from hooklie.combinat import partition_list
@@ -164,6 +165,25 @@ def test_verify_main_theorem_small(capsys):
     code, doc, _ = run_json(["verify", "main-theorem", "--n-max", "6"], capsys)
     assert code == 0
     assert all(a["passed"] for a in doc["assertions"])
+
+
+def test_verify_main_theorem_past_default_n_limit(capsys):
+    code, doc, _ = run_json(["verify", "main-theorem", "--n-max", "11"], capsys)
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["payload"]["classes_scanned"] == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30 + 42 + 56
+
+
+def test_failed_exactness_check_exits_1_without_traceback(monkeypatch, capsys):
+    def broken(mu, n_limit=cdes.DEFAULT_N_LIMIT):
+        raise ArithmeticError(f"negative Des fiber for {mu}")
+
+    monkeypatch.setattr(cdes, "descent_distribution", broken)
+    code, out, err = run(["verify", "main-theorem", "--n-max", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: negative Des fiber" in err
+    assert "Traceback" not in err
 
 
 def test_verify_cellini_reports_exactly_two(capsys):
