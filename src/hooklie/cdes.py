@@ -9,6 +9,9 @@ subsets of [n-1].  No class element is walked, so the cost follows
 (tests/brute_force.py); only construct_extension and cellini_closed, which
 need the elements themselves, still walk the class.
 
+Every route refuses, with ValueError before any work, an input on which it
+would walk more than WALK_LIMIT subsets or class elements (check_walk).
+
 A cyclic extension assigns to every pi in the class a set cDes(pi) with
 cDes(pi) intersect [n-1] = Des(pi), together with a bijection p of the
 class satisfying cDes(p(pi)) = sh(cDes(pi)), such that no cDes is empty
@@ -32,11 +35,11 @@ from typing import Dict, List, Optional, TextIO, Tuple, Union
 from . import characters
 from .combinat import (
     cellini_descent_set,
+    check_class_type,
     class_size,
     conjugacy_class,
     descent_set,
     full_mask,
-    is_partition,
     kostka_number,
     partition_list,
     rotate_subset,
@@ -45,6 +48,8 @@ from .combinat import (
 )
 
 __all__ = [
+    "WALK_LIMIT",
+    "check_walk",
     "DescentDistribution",
     "Infeasible",
     "FiberSolution",
@@ -60,14 +65,10 @@ __all__ = [
     "write_extension",
 ]
 
-# The n limit bounds the walks over subsets: descent_distribution's table
-# of 2^(n-1) subsets of [n-1] and solve_extension's 2^n subsets of [n].
-DEFAULT_N_LIMIT = 10
-# The largest class the default n limit lets through: (n-1, 1) is the
-# largest class of S_n for n >= 4, here 403,200 elements.  It bounds the
-# routes that walk the class (construct_extension, cellini_closed); a
-# raised n limit does not raise it.
-CLASS_SIZE_LIMIT = class_size((DEFAULT_N_LIMIT - 1, 1))
+# The most items any route walks: the largest class of S_10, (9, 1), with
+# 403,200 elements.  Since 2^18 <= WALK_LIMIT < 2^19, the walks over the
+# subsets of [n] admit n <= 18.
+WALK_LIMIT = class_size((9, 1))
 
 
 @dataclass(frozen=True)
@@ -117,25 +118,25 @@ class CyclicExtensionSolution:
     axioms: Dict[str, bool] = field(default_factory=dict)
 
 
-def _check_n(mu, n_limit: int, limit: str = "n limit") -> Tuple[int, ...]:
-    mu = tuple(mu)
-    if not is_partition(mu) or not mu:
-        raise ValueError(f"not a partition: {mu!r}")
-    n = sum(mu)
-    if n > n_limit:
-        raise ValueError(f"class of S_{n} exceeds the {limit} {n_limit}")
-    return mu
-
-
-def _check_class(mu, n_limit: int) -> Tuple[int, ...]:
-    """_check_n for the routes that walk the class, which also refuse a
-    class with more than CLASS_SIZE_LIMIT elements."""
-    mu = _check_n(mu, n_limit, "enumeration limit")
-    size = class_size(mu)
-    if size > CLASS_SIZE_LIMIT:
+def _check_subsets(n: int) -> None:
+    if 1 << n > WALK_LIMIT:
         raise ValueError(
-            f"class {mu} has {size} elements, over the enumeration limit of "
-            f"{CLASS_SIZE_LIMIT} (the largest class of S_{DEFAULT_N_LIMIT})"
+            f"the {1 << n} subsets of [{n}] are over the walk limit of {WALK_LIMIT}"
+        )
+
+
+def check_walk(mu, elements: bool = False) -> Tuple[int, ...]:
+    """mu as a partition of n >= 1, refused with ValueError if a route would
+    walk more than WALK_LIMIT items on it: the 2^n subsets of [n]
+    (descent_distribution, solve_extension) or, with elements, the class
+    elements (cellini_closed; construct_extension walks both)."""
+    mu = check_class_type(mu)
+    if not elements:
+        _check_subsets(sum(mu))
+    elif class_size(mu) > WALK_LIMIT:
+        raise ValueError(
+            f"class {mu} has {class_size(mu)} elements, over the walk limit of "
+            f"{WALK_LIMIT}"
         )
     return mu
 
@@ -154,19 +155,20 @@ def _composition_shapes(n: int) -> Tuple[int, ...]:
     return tuple(shapes)
 
 
-def descent_distribution(mu, n_limit: int = DEFAULT_N_LIMIT) -> DescentDistribution:
+def descent_distribution(mu) -> DescentDistribution:
     """Des-fiber sizes over the full conjugacy class of mu, by
     Gessel-Reutenauer: #{pi : Des(pi) inside S} is the pairing of
     characters.h_pairings at the sorted parts of alpha(S), and Moebius
     inversion over the subsets of [n-1], one element at a time, gives
     #{pi : Des(pi) = S} in O(n 2^(n-1)).
 
-    Nothing is enumerated, so the class size does not bound the cost; a
-    class of S_n with n > n_limit is refused with ValueError, since the
-    table has 2^(n-1) entries.  A negative fiber, or fibers that do not sum
-    to the class size, raise ArithmeticError.
+    Nothing is enumerated, so the class size does not bound the cost; the
+    table has 2^(n-1) entries and solve_extension walks 2^n subsets, so
+    check_walk refuses n >= 19 with ValueError before any work.  A negative
+    fiber, or fibers that do not sum to the class size, raise
+    ArithmeticError.
     """
-    mu = _check_n(mu, n_limit)
+    mu = check_walk(mu)
     n = sum(mu)
     pairings = characters.h_pairings(mu)
     values = [pairings[lam] for lam in partition_list(n)]
@@ -202,21 +204,24 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
     Infeasible with the violated constraint.
 
     Propagates c_() = 0 through pairing (c_D + c_(D u {n}) = Des fiber
-    of D) and rotation-orbit equality over all subsets of [n].
+    of D) and rotation-orbit equality over all subsets of [n].  An n whose
+    2^n subsets exceed WALK_LIMIT is refused with ValueError.
     """
     n = dist.n
+    _check_subsets(n)
     top = 1 << (n - 1)
     full = full_mask(n)
+    fiber = dist.fibers.get
     c = {0: 0}
     stack = [0]
     while stack:
         j = stack.pop()
         v = c[j]
-        rot = rotate_subset(j, n)
+        rot = ((j << 1) | (j >> (n - 1))) & full  # rotate_subset, unchecked
         if j & top:
-            partner, pv = j ^ top, dist.count(j ^ top) - v
+            partner, pv = j ^ top, fiber(j ^ top, 0) - v
         else:
-            partner, pv = j | top, dist.count(j) - v
+            partner, pv = j | top, fiber(j, 0) - v
         for k, kv in ((rot, v), (partner, pv)):
             known = c.get(k)
             if known is None:
@@ -243,21 +248,21 @@ def _escher_note(mu: Tuple[int, ...]) -> str:
     return ""
 
 
-def construct_extension(
-    mu, n_limit: int = DEFAULT_N_LIMIT
-) -> Union[CyclicExtensionSolution, Infeasible]:
+def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     """Explicit cyclic extension of Des on the class of mu, or Infeasible.
 
     Deterministic rule: within each Des-fiber in lexicographic order, the
     first c_(D u {n}) permutations get D u {n} and the rest keep D; p
     sends the k-th element of the fiber of J to the k-th element of the
     fiber of sh(J).  All axioms are verified exhaustively, once, before
-    return; the results ride along as the solution's axioms.  Classes
-    larger than CLASS_SIZE_LIMIT are refused with ValueError up front.
+    return; the results ride along as the solution's axioms.  A class
+    with more than WALK_LIMIT elements, or of S_n with more than WALK_LIMIT
+    subsets of [n] to solve over, is refused with ValueError up front.
     write_extension dumps the result.
     """
-    mu = _check_class(mu, n_limit)
+    mu = check_walk(mu, elements=True)
     n = sum(mu)
+    _check_subsets(n)
     by_des: Dict[int, list] = {}
     for pi in conjugacy_class(mu):  # lexicographic
         by_des.setdefault(descent_set(pi), []).append(pi)
@@ -324,10 +329,11 @@ def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
     }
 
 
-def cellini_closed(mu, n_limit: int = DEFAULT_N_LIMIT) -> bool:
+def cellini_closed(mu) -> bool:
     """Whether the multiset of Cellini cyclic descent sets of the class
-    is invariant under rotation."""
-    mu = _check_class(mu, n_limit)
+    is invariant under rotation.  A class with more than WALK_LIMIT
+    elements is refused with ValueError up front."""
+    mu = check_walk(mu, elements=True)
     n = sum(mu)
     counts = Counter(cellini_descent_set(pi) for pi in conjugacy_class(mu))
     rotated = Counter()

@@ -22,6 +22,7 @@ from typing import Dict, Iterator, Tuple
 
 from .combinat import (
     centralizer_order,
+    check_class_type,
     class_size,
     divisors,
     is_partition,
@@ -192,13 +193,6 @@ def _frobenius(mu: Tuple[int, ...]) -> PowerSum:
     return ch
 
 
-def _checked_class(mu) -> Tuple[int, ...]:
-    mu = tuple(mu)
-    if not is_partition(mu) or not mu:
-        raise ValueError(f"not a partition: {mu!r}")
-    return mu
-
-
 def higher_lie_character(mu) -> ClassFunction:
     """The character psi^mu induced from the defining linear character of
     the centralizer of the class mu; values are exact integers.
@@ -206,7 +200,7 @@ def higher_lie_character(mu) -> ClassFunction:
     psi^mu(nu) = z_nu [p_nu] ch psi^mu, read off Thrall's plethysm, so
     nothing is enumerated; a non-integral value raises.
     """
-    mu = _checked_class(mu)
+    mu = check_class_type(mu)
     ch = _frobenius(mu)
     n = sum(mu)
     values: Dict[tuple[int, ...], int] = {}
@@ -242,7 +236,7 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
     / (1 + t).  The cost follows the number of those coefficients: 1,292
     for (40^8), but all p(n) partitions of n for the identity class (1^n).
     """
-    mu = _checked_class(mu)
+    mu = check_class_type(mu)
     n = sum(mu)
     ch = _frobenius(mu)
     den = math.lcm(*(c.denominator for c in ch.values()))
@@ -328,7 +322,7 @@ def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
     alpha(S) a rearrangement of lam.  Each pairing is checked to be an
     integer >= 0; ArithmeticError otherwise.
     """
-    mu = _checked_class(mu)
+    mu = check_class_type(mu)
     ch = _frobenius(mu)
     den = math.lcm(*(c.denominator for c in ch.values()))
     terms = [(nu, c.numerator * (den // c.denominator)) for nu, c in ch.items()]

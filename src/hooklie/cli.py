@@ -1,11 +1,13 @@
 """Command line front end.
 
-Subcommands: hooks, series, verify <suite>, construct, cellini, witt.
-Reports render as json (deterministic given command and config; no file
-is read), csv, or text; timing always goes to stderr.
+Subcommands: hooks, series, verify <suite>, construct, cellini, witt;
+each takes only the flags it reads.  Reports render as json (deterministic
+given the command line; no file is read), csv, or text; timing always goes
+to stderr.
 Exit codes: 0 all assertions passed, 1 an assertion failed (including an
-exactness check that raised ArithmeticError), 2 usage errors (including a
-class over the n limit or the enumeration limit).
+exactness check that raised ArithmeticError), 2 usage errors (including an
+input that would walk more than cdes.WALK_LIMIT subsets or class elements;
+a verify suite checks every class it will scan before it scans any).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import cdes, characters, lie
 from .combinat import (
@@ -33,14 +35,6 @@ DEFAULT_N_MAX = 8
 DEFAULT_R_MAX = 40
 DEFAULT_S_MAX = 5
 UNIMODALITY_S_MAX = 8
-
-
-@dataclass
-class RunConfig:
-    n_max: Optional[int] = None
-    r_max: Optional[int] = None
-    s_max: Optional[int] = None
-    output_format: str = "text"
 
 
 @dataclass
@@ -173,7 +167,7 @@ def no_extension_payload(cert) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_hooks(args, config: RunConfig) -> Report:
+def cmd_hooks(args) -> Report:
     r, s = args.r, args.s
     if r < 1 or s < 1:
         raise UsageError("hooks needs r >= 1 and s >= 1")
@@ -200,9 +194,8 @@ def cmd_hooks(args, config: RunConfig) -> Report:
     return report
 
 
-def cmd_series(args, config: RunConfig) -> Report:
-    r = args.r
-    s_max = config.s_max or DEFAULT_S_MAX
+def cmd_series(args) -> Report:
+    r, s_max = args.r, args.s_max
     if r < 1 or s_max < 1:
         raise UsageError("series needs r >= 1 and s_max >= 1")
     report = Report("series", {"r": r, "s_max": s_max}, {})
@@ -242,7 +235,7 @@ def cmd_series(args, config: RunConfig) -> Report:
     return report
 
 
-def cmd_witt(args, config: RunConfig) -> Report:
+def cmd_witt(args) -> Report:
     r = args.r
     if r < 1:
         raise UsageError("witt needs r >= 1")
@@ -260,19 +253,17 @@ def cmd_witt(args, config: RunConfig) -> Report:
     return report
 
 
-def cmd_cellini(args, config: RunConfig) -> Report:
+def cmd_cellini(args) -> Report:
     mu = parse_partition(args.mu)
-    n_limit = max(DEFAULT_N_MAX, config.n_max or 0, cdes.DEFAULT_N_LIMIT)
     report = Report("cellini", {"mu": list(mu)}, {})
-    report.payload = {"closed": cdes.cellini_closed(mu, n_limit)}
+    report.payload = {"closed": cdes.cellini_closed(mu)}
     return report
 
 
-def cmd_construct(args, config: RunConfig) -> Report:
+def cmd_construct(args) -> Report:
     mu = parse_partition(args.mu)
-    n_limit = max(DEFAULT_N_MAX, config.n_max or 0, cdes.DEFAULT_N_LIMIT)
     report = Report("construct", {"mu": list(mu)}, {})
-    sol = cdes.construct_extension(mu, n_limit)
+    sol = cdes.construct_extension(mu)
     if isinstance(sol, cdes.Infeasible):
         payload = {
             "feasible": False,
@@ -306,9 +297,18 @@ def cmd_construct(args, config: RunConfig) -> Report:
 # -- verification suites -----------------------------------------------------
 
 
-def _feasible(mu, n_limit: int) -> bool:
+def _check_scan(n_min: int, n_max: int, elements: bool = False) -> None:
+    """Refuse a scan before it starts: cdes.check_walk on every class with
+    n_min <= n <= n_max, in order of n, so the first n over the limit stops
+    the check."""
+    for n in range(n_min, n_max + 1):
+        for mu in partition_list(n):
+            cdes.check_walk(mu, elements)
+
+
+def _feasible(mu) -> bool:
     return not isinstance(
-        cdes.solve_extension(cdes.descent_distribution(mu, n_limit)), cdes.Infeasible
+        cdes.solve_extension(cdes.descent_distribution(mu)), cdes.Infeasible
     )
 
 
@@ -317,18 +317,18 @@ def _expected_feasible(mu) -> bool:
     return not (rect is not None and is_squarefree(rect[0]))
 
 
-def suite_main_theorem(config: RunConfig, report: Report) -> None:
+def suite_main_theorem(args, report: Report) -> None:
     """Extension exists iff the class is not a rectangle with square-free
     part size; exhaustive over n <= n_max."""
-    n_max = config.n_max or DEFAULT_N_MAX
-    n_limit = max(n_max, cdes.DEFAULT_N_LIMIT)
+    n_max = args.n_max or DEFAULT_N_MAX
+    _check_scan(1, n_max)
     report.parameters["n_max"] = n_max
     scanned = 0
     for n in range(1, n_max + 1):
         bad = []
         for mu in partition_list(n):
             scanned += 1
-            if _feasible(mu, n_limit) != _expected_feasible(mu):
+            if _feasible(mu) != _expected_feasible(mu):
                 bad.append(list(mu))
         report.check(
             f"feasibility-matches-squarefree-rectangle-characterization-n={n}",
@@ -338,11 +338,11 @@ def suite_main_theorem(config: RunConfig, report: Report) -> None:
     report.payload["classes_scanned"] = scanned
 
 
-def suite_squarefree(config: RunConfig, report: Report) -> None:
+def suite_squarefree(args, report: Report) -> None:
     """(1+x)^2 divides every [y^s] iff r has a square factor; the moment
     identity; non-negativity of the square quotients."""
-    r_max = config.r_max or 30
-    s_max = config.s_max or DEFAULT_S_MAX
+    r_max = args.r_max or 30
+    s_max = args.s_max or DEFAULT_S_MAX
     report.parameters.update({"r_max": r_max, "s_max": s_max})
     bad_dichotomy = []
     bad_moment = []
@@ -374,11 +374,11 @@ def suite_squarefree(config: RunConfig, report: Report) -> None:
     )
 
 
-def suite_unimodality(config: RunConfig, report: Report) -> None:
+def suite_unimodality(args, report: Report) -> None:
     """Hook multiplicity sequences are unimodal in the scanned range;
     counterexamples are reported, never assumed absent."""
-    r_max = config.r_max or DEFAULT_R_MAX
-    s_max = config.s_max or UNIMODALITY_S_MAX
+    r_max = args.r_max or DEFAULT_R_MAX
+    s_max = args.s_max or UNIMODALITY_S_MAX
     report.parameters.update({"r_max": r_max, "s_max": s_max})
     violations = []
     for r in range(1, r_max + 1):
@@ -391,17 +391,17 @@ def suite_unimodality(config: RunConfig, report: Report) -> None:
     report.check("hook-multiplicities-unimodal", not violations)
 
 
-def suite_gr_fibers(config: RunConfig, report: Report) -> None:
+def suite_gr_fibers(args, report: Report) -> None:
     """Schur-expansion descent fibers (multiplicities times standard
     tableaux by descent set) match the Gessel-Reutenauer fibers of
     descent_distribution for every class and every descent set, n <= n_max."""
-    n_max = config.n_max or 6
-    n_limit = max(n_max, cdes.DEFAULT_N_LIMIT)
+    n_max = args.n_max or 6
+    _check_scan(1, n_max)
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []
         for mu in partition_list(n):
-            dist = cdes.descent_distribution(mu, n_limit)
+            dist = cdes.descent_distribution(mu)
             for mask in range(1 << (n - 1)):
                 predicted = cdes.straight_ribbon_fiber(mu, mask)
                 if predicted != dist.count(mask):
@@ -413,10 +413,10 @@ def suite_gr_fibers(config: RunConfig, report: Report) -> None:
         )
 
 
-def suite_kw_identity(config: RunConfig, report: Report) -> None:
+def suite_kw_identity(args, report: Report) -> None:
     """Hook multiplicities of the full cycle count k-subsets of [n-1]
     with sum 1 mod n; Witt coefficients count them inside [n]."""
-    n_max = config.n_max or 12
+    n_max = args.n_max or 12
     report.parameters["n_max"] = n_max
     bad_hooks = []
     bad_witt = []
@@ -438,11 +438,12 @@ def suite_kw_identity(config: RunConfig, report: Report) -> None:
     )
 
 
-def suite_cellini(config: RunConfig, report: Report) -> None:
+def suite_cellini(args, report: Report) -> None:
     """Scan 2 <= n <= n_max for classes whose Cellini cyclic descent
     multiset is rotation closed (n = 1 is degenerate: rotation is the
     identity map on subsets of [1])."""
-    n_max = config.n_max or 6
+    n_max = args.n_max or 6
+    _check_scan(2, n_max, elements=True)
     report.parameters["n_max"] = n_max
     closed = []
     for n in range(2, n_max + 1):
@@ -460,17 +461,17 @@ def suite_cellini(config: RunConfig, report: Report) -> None:
     )
 
 
-def suite_affine_fibers(config: RunConfig, report: Report) -> None:
+def suite_affine_fibers(args, report: Report) -> None:
     """For every feasible class, the inclusion-exclusion of cyclic ribbon
     characters reproduces every solved cDes fiber size, n <= n_max."""
-    n_max = config.n_max or 7
-    n_limit = max(n_max, cdes.DEFAULT_N_LIMIT)
+    n_max = args.n_max or 7
+    _check_scan(1, n_max)
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []
         feasible = 0
         for mu in partition_list(n):
-            sol = cdes.solve_extension(cdes.descent_distribution(mu, n_limit))
+            sol = cdes.solve_extension(cdes.descent_distribution(mu))
             if isinstance(sol, cdes.Infeasible):
                 continue
             feasible += 1
@@ -485,7 +486,7 @@ def suite_affine_fibers(config: RunConfig, report: Report) -> None:
         )
 
 
-SUITES: Dict[str, Callable[[RunConfig, Report], None]] = {
+SUITES: Dict[str, Callable[[argparse.Namespace, Report], None]] = {
     "main-theorem": suite_main_theorem,
     "squarefree": suite_squarefree,
     "unimodality": suite_unimodality,
@@ -496,22 +497,17 @@ SUITES: Dict[str, Callable[[RunConfig, Report], None]] = {
 }
 
 
-def cmd_verify(args, config: RunConfig) -> Report:
+def cmd_verify(args) -> Report:
+    for name in ("n_max", "r_max", "s_max"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
     report = Report("verify", {"suite": args.suite}, {})
-    SUITES[args.suite](config, report)
+    SUITES[args.suite](args, report)
     return report
 
 
 # -- argument parsing and dispatch -------------------------------------------
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n-max", type=int, default=None, help="scan bound on n")
-    sp.add_argument("--r-max", type=int, default=None, help="scan bound on r")
-    sp.add_argument("--s-max", type=int, default=None, dest="s_max_common",
-                    help="scan bound on s")
-    sp.add_argument("--format", choices=sorted(RENDERERS), default="text",
-                    help="report format on stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,32 +521,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hooks", help="coefficient profile of a rectangular class")
     sp.add_argument("r", type=int)
     sp.add_argument("s", type=int)
-    _add_common(sp)
 
     sp = sub.add_parser("series", help="generating series and square divisibility")
     sp.add_argument("r", type=int)
-    _add_common(sp)
+    sp.add_argument("--s-max", type=int, default=DEFAULT_S_MAX,
+                    help="truncation order in y")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    _add_common(sp)
+    sp.add_argument("--n-max", type=int, default=None, help="scan bound on n")
+    sp.add_argument("--r-max", type=int, default=None, help="scan bound on r")
+    sp.add_argument("--s-max", type=int, default=None, help="scan bound on s")
 
     sp = sub.add_parser("construct", help="build an explicit cyclic extension")
     sp.add_argument("mu", help="partition, e.g. 2,2,1")
     sp.add_argument("--output", default=None, help="dump file path")
-    _add_common(sp)
 
     sp = sub.add_parser("cellini", help="rotation closure of Cellini descents")
     sp.add_argument("mu", help="partition, e.g. 2,1")
-    _add_common(sp)
 
     sp = sub.add_parser("witt", help="Witt transform of an integer polynomial")
     sp.add_argument("r", type=int)
     sp.add_argument("--coeffs", default="1,-1",
                     help="comma separated, constant term first")
     sp.add_argument("--reflect", action="store_true", help="also print at -x")
-    _add_common(sp)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=sorted(RENDERERS), default="text",
+                        help="report format on stdout")
     return parser
 
 
@@ -564,29 +562,12 @@ COMMANDS = {
 }
 
 
-def config_from_args(args) -> RunConfig:
-    for name in ("n_max", "r_max"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
-    s_common = getattr(args, "s_max_common", None)
-    if s_common is not None and s_common < 1:
-        raise UsageError("--s-max must be >= 1")
-    return RunConfig(
-        n_max=getattr(args, "n_max", None),
-        r_max=getattr(args, "r_max", None),
-        s_max=s_common,
-        output_format=getattr(args, "format", "text"),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        config = config_from_args(args)
-        report = COMMANDS[args.cmd](args, config)
+        report = COMMANDS[args.cmd](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -594,7 +575,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
-    print(RENDERERS[config.output_format](report))
+    print(RENDERERS[args.format](report))
     print(f"elapsed-seconds: {elapsed:.3f}", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -22,6 +22,7 @@ __all__ = [
     "is_squarefree",
     "divisors",
     "is_partition",
+    "check_class_type",
     "partition_list",
     "centralizer_order",
     "class_size",
@@ -99,6 +100,15 @@ def _check_partition(mu) -> tuple[int, ...]:
     t = tuple(mu)
     if not is_partition(t):
         raise ValueError(f"not a partition: {mu!r}")
+    return t
+
+
+def check_class_type(mu) -> tuple[int, ...]:
+    """mu as a tuple if it is a partition of some n >= 1, the cycle type of
+    a conjugacy class of S_n; ValueError otherwise."""
+    t = tuple(mu)
+    if not t or not is_partition(t):
+        raise ValueError(f"not a partition of n >= 1: {mu!r}")
     return t
 
 
@@ -196,10 +206,7 @@ def conjugacy_class(mu) -> Iterator[tuple[int, ...]]:
     elements come lazily, in the same order as filtering
     itertools.permutations would give.
     """
-    mu = _check_partition(mu)
-    if not mu:
-        raise ValueError("mu must be a partition of n >= 1")
-    return _class_elements(mu)
+    return _class_elements(check_class_type(mu))
 
 
 def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

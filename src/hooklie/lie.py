@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Tuple, Union
 
 from . import characters
-from .combinat import divisors, is_partition, is_squarefree, moebius
+from .combinat import check_class_type, divisors, is_squarefree, moebius
 from .series import BiSeries, IntPolynomial, witt_transform
 
 __all__ = [
@@ -202,9 +202,7 @@ def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
     the closed formula, cross-checked against the character oracle;
     everything else through the oracle.
     """
-    mu = tuple(mu)
-    if not is_partition(mu) or not mu:
-        raise ValueError(f"not a partition: {mu!r}")
+    mu = check_class_type(mu)
     rect = _rectangle(mu)
     if rect is not None:
         m = hook_mults(*rect)

@@ -72,17 +72,42 @@ def test_distribution_identity_class():
 
 
 def test_distribution_rejects_oversized_class():
-    with pytest.raises(ValueError):
-        descent_distribution((11,))
-    # a raised n limit does not raise the size bound of the class walks
-    largest = max(class_size(mu) for mu in partition_list(cdes.DEFAULT_N_LIMIT))
-    assert cdes.CLASS_SIZE_LIMIT == largest == 403_200
-    for call in (cdes.construct_extension, cellini_closed):
-        with pytest.raises(ValueError, match="enumeration limit"):
-            call((11,), n_limit=11)
-    # descent fibers walk no class element, so (11), with 10! of them, runs
-    dist = descent_distribution((11,), n_limit=11)
+    # the 2^19 subsets of [19] are over the walk limit, whatever the class size
+    for mu in ((19,), (1,) * 19):
+        with pytest.raises(ValueError, match="walk limit"):
+            descent_distribution(mu)
+    # the limit is the largest class of S_10, and the 2^18 subsets of [18] fit
+    largest = max(class_size(mu) for mu in partition_list(10))
+    assert cdes.WALK_LIMIT == largest == 403_200
+    assert cdes.check_walk((1,) * 18) == (1,) * 18
+    # the routes that walk the class refuse (11), with 10! elements
+    for call in (construct_extension, cellini_closed):
+        with pytest.raises(ValueError, match="walk limit"):
+            call((11,))
+    # descent fibers walk no class element, so (11) runs
+    dist = descent_distribution((11,))
     assert sum(dist.fibers.values()) == math.factorial(10) == 3_628_800
+
+
+class _NoWork(dict):
+    def get(self, *args):
+        raise AssertionError("work started on a refused input")
+
+
+def _no_work(*args):
+    raise AssertionError("work started on a refused input")
+
+
+def test_walks_over_the_limit_are_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(characters, "h_pairings", _no_work)
+    monkeypatch.setattr(cdes, "conjugacy_class", _no_work)
+    # (1^19) has one element and (2, 1^17) has 171: only n refuses them
+    for mu in ((19,), (1,) * 19, (2,) + (1,) * 17):
+        for call in (descent_distribution, construct_extension):
+            with pytest.raises(ValueError, match="walk limit"):
+                call(mu)
+    with pytest.raises(ValueError, match="walk limit"):
+        solve_extension(cdes.DescentDistribution(19, _NoWork({0: 1})))
 
 
 def test_distribution_matches_enumeration():

@@ -1,6 +1,7 @@
 """Tests for the command line front end: exit codes, deterministic reports,
 construct dumps, and module runs that no outside file can influence."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from hooklie import cdes
 from hooklie.characters import character_value
-from hooklie.cli import main, parse_partition, UsageError
+from hooklie.cli import build_parser, main, parse_partition, UsageError
 from hooklie.combinat import partition_list
 
 
@@ -59,29 +60,72 @@ def test_bad_partition_exits_2(capsys):
     assert "error:" in err
 
 
-def test_oversized_class_exits_2(capsys):
-    code, out, err = run(["construct", "1,1,1,1,1,1,1,1,1,1,1"], capsys)
+def test_oversized_class_exits_2(tmp_path, capsys):
+    # one element, but solving it would walk the 2^19 subsets of [19]
+    out_file = tmp_path / "ext.json"
+    code, out, err = run(["construct", ",".join("1" * 19), "--output", str(out_file)], capsys)
     assert code == 2
-    assert "enumeration limit" in err
+    assert out == ""
+    assert "walk limit" in err
+    assert not out_file.exists()
+    # (1^11) is under the limit: an infeasible report with exit 0
+    code, doc, _ = run_json(["construct", ",".join("1" * 11), "--output", str(out_file)], capsys)
+    assert code == 0
+    assert doc["payload"]["feasible"] is False
 
 
 def test_class_over_size_limit_exits_2(tmp_path, capsys):
-    # 11! elements pass --n-max 12 but not the size bound, so nothing is walked
+    # 11! elements are over the walk limit, so nothing is walked
     out_file = tmp_path / "ext.json"
-    code, out, err = run(
-        ["construct", "12", "--n-max", "12", "--output", str(out_file)], capsys
-    )
+    code, out, err = run(["construct", "12", "--output", str(out_file)], capsys)
     assert code == 2
     assert out == ""
-    assert "error:" in err and "enumeration limit" in err
+    assert "error:" in err and "walk limit" in err
     assert not out_file.exists()
-    # (2^6) has 10,395 elements: under the bound, so --n-max 12 still runs it
+    # (2^6) has 10,395 elements and 2^12 subsets: under the limit, so it runs
     code, doc, _ = run_json(
-        ["construct", "2,2,2,2,2,2", "--n-max", "12", "--output", str(out_file)],
-        capsys,
+        ["construct", "2,2,2,2,2,2", "--output", str(out_file)], capsys
     )
     assert code == 0
     assert doc["payload"]["feasible"] is False
+
+
+@pytest.mark.parametrize(
+    "suite, n_max, route",
+    [("main-theorem", "19", "descent_distribution"), ("cellini", "11", "cellini_closed")],
+)
+def test_verify_scan_over_walk_limit_exits_2_before_scanning(
+    suite, n_max, route, monkeypatch, capsys
+):
+    def no_work(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cdes, route, no_work)
+    code, out, err = run(["verify", suite, "--n-max", n_max], capsys)
+    assert code == 2
+    assert out == ""
+    assert "walk limit" in err
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {flag for action in sp._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert flags == {
+        "hooks": {"--format"},
+        "series": {"--s-max", "--format"},
+        "witt": {"--format", "--coeffs", "--reflect"},
+        "construct": {"--output", "--format"},
+        "cellini": {"--format"},
+        "verify": {"--n-max", "--r-max", "--s-max", "--format"},
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["hooks", "4", "2", "--n-max", "3"])
+    assert exc.value.code == 2
 
 
 def test_bad_flag_value_exits_2(capsys):
@@ -175,7 +219,7 @@ def test_verify_main_theorem_past_default_n_limit(capsys):
 
 
 def test_failed_exactness_check_exits_1_without_traceback(monkeypatch, capsys):
-    def broken(mu, n_limit=cdes.DEFAULT_N_LIMIT):
+    def broken(mu):
         raise ArithmeticError(f"negative Des fiber for {mu}")
 
     monkeypatch.setattr(cdes, "descent_distribution", broken)
