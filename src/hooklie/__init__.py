@@ -20,8 +20,6 @@ from .characters import (
     character_value,
     higher_lie_character,
     hook_mults_oracle,
-    inner_product,
-    irreducible_character,
     schur_multiplicities,
 )
 from .cdes import (
@@ -81,8 +79,6 @@ __all__ = [
     "hook_mults_oracle",
     "hook_poly",
     "hook_profile",
-    "inner_product",
-    "irreducible_character",
     "kostka_number",
     "quotient_series",
     "schur_multiplicities",

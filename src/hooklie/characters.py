@@ -5,17 +5,25 @@ process-lifetime memo table; no value is read from a file.  Higher Lie
 characters come from Thrall's plethysm: the Frobenius image of psi^mu is
 the product over part sizes i of h_(k_i)[Lie_i], with k_i the number of
 parts i of mu and Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d).
-It is expanded in a sparse power-sum algebra over Fraction, and
-psi^mu(nu) = z_nu [p_nu] ch psi^mu; no group element is enumerated.
-The same expansion gives the pairings <ch psi^mu, h_lam> that count the
-class elements by descent set (Gessel-Reutenauer), through the power-sum
-pairing <p_nu, h_lam> = R(nu, lam) on one memo table shared by every class.
+It is expanded once per class in a sparse power-sum algebra over Fraction
+and kept scaled to integers: a common denominator den and the numerators
+c_nu = den [p_nu] ch psi^mu (_frobenius).  No group element is enumerated.
+
+Every quantity is one exact pairing of that expansion with a column of
+values in nu, divided by den and checked to be an integer:
+  higher_lie_character  psi^mu(nu) = z_nu [p_nu] ch psi^mu;
+  schur_multiplicities  <psi^mu, chi^lam> = sum_nu [p_nu] ch psi^mu chi^lam(nu);
+  hook_mults_oracle     the same pairing with the hooks (n-k, 1^k), read
+                        off one polynomial in t per nu;
+  h_pairings            <ch psi^mu, h_lam> = sum_nu [p_nu] ch psi^mu R(nu, lam),
+                        which counts the class elements by descent set
+                        (Gessel-Reutenauer), on one memo table of R shared
+                        by every class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, Tuple
@@ -23,7 +31,6 @@ from typing import Dict, Iterator, Tuple
 from .combinat import (
     centralizer_order,
     check_class_type,
-    class_size,
     divisors,
     is_partition,
     moebius,
@@ -31,54 +38,13 @@ from .combinat import (
 )
 
 __all__ = [
-    "ClassFunction",
     "character_value",
-    "irreducible_character",
     "higher_lie_character",
-    "inner_product",
     "schur_multiplicities",
     "hook_mults_oracle",
     "h_pairings",
-    "hook_shape",
     "clear_memo",
 ]
-
-
-# -- class functions ---------------------------------------------------------
-
-
-@dataclass
-class ClassFunction:
-    """Values of a class function of S_n, keyed by cycle type."""
-
-    n: int
-    values: Dict[Tuple[int, ...], int]
-
-    def __call__(self, mu) -> int:
-        return self.values[tuple(mu)]
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.n != other.n:
-            raise ValueError("class functions of different degrees")
-        keys = set(self.values) | set(other.values)
-        return ClassFunction(
-            self.n,
-            {k: self.values.get(k, 0) + other.values.get(k, 0) for k in keys},
-        )
-
-
-@lru_cache(maxsize=None)
-def _class_sizes(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    return tuple((nu, class_size(nu)) for nu in partition_list(n))
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Standard S_n inner product (all characters here are rational)."""
-    if f.n != g.n:
-        raise ValueError("class functions of different degrees")
-    fv, gv = f.values, g.values
-    acc = sum(size * fv[nu] * gv[nu] for nu, size in _class_sizes(f.n))
-    return Fraction(acc, math.factorial(f.n))
 
 
 # -- Murnaghan-Nakayama ------------------------------------------------------
@@ -128,20 +94,6 @@ def _mn(lam: tuple, mu: tuple) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def irreducible_character(lam) -> ClassFunction:
-    lam = tuple(lam)
-    n = sum(lam)
-    return ClassFunction(n, {mu: character_value(lam, mu) for mu in partition_list(n)})
-
-
-def hook_shape(n: int, k: int) -> tuple[int, ...]:
-    """The hook (n-k, 1^k)."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return (n - k,) + (1,) * k
-
-
 # -- higher Lie characters ---------------------------------------------------
 
 # Symmetric functions of degree n in the power-sum basis: a dict from a
@@ -183,47 +135,67 @@ def _h_plethysm(k: int, f: PowerSum) -> PowerSum:
     return {key: c for key, c in total.items() if c}
 
 
+# ch psi^mu scaled to integers: the common denominator den of its power-sum
+# coefficients and the pairs (nu, den [p_nu] ch psi^mu), nonzero ones only.
+Scaled = Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]
+
+
 @lru_cache(maxsize=None)
-def _frobenius(mu: Tuple[int, ...]) -> PowerSum:
+def _frobenius(mu: Tuple[int, ...]) -> Scaled:
     """ch psi^mu = prod over part sizes i of h_(k_i)[Lie_i] (Thrall), with
-    k_i the number of parts i of mu.  Shared by every caller: read only."""
+    k_i the number of parts i of mu, as (den, ((nu, c_nu), ...)) with
+    c_nu = den [p_nu] ch psi^mu.  The one memo every pairing reads."""
     ch: PowerSum = {(): Fraction(1)}
     for i in sorted(set(mu)):
         ch = _ps_mul(ch, _h_plethysm(mu.count(i), _lie_ps(i)))
-    return ch
+    den = math.lcm(*(c.denominator for c in ch.values()))
+    return den, tuple((nu, c.numerator * (den // c.denominator)) for nu, c in ch.items())
 
 
-def higher_lie_character(mu) -> ClassFunction:
+def _count(acc: int, den: int, what: str, *args) -> int:
+    """acc / den, refused with ArithmeticError unless an integer >= 0; the
+    message names the quantity as what % args, formatted only then."""
+    if acc % den or acc < 0:
+        raise ArithmeticError(f"{what % args} is {Fraction(acc, den)}, not a count")
+    return acc // den
+
+
+def higher_lie_character(mu) -> Dict[Tuple[int, ...], int]:
     """The character psi^mu induced from the defining linear character of
-    the centralizer of the class mu; values are exact integers.
+    the centralizer of the class mu, as {nu: psi^mu(nu)} over every
+    partition nu of n; values are exact integers.
 
     psi^mu(nu) = z_nu [p_nu] ch psi^mu, read off Thrall's plethysm, so
-    nothing is enumerated; a non-integral value raises.
+    nothing is enumerated; a non-integral value raises ArithmeticError.
     """
     mu = check_class_type(mu)
-    ch = _frobenius(mu)
-    n = sum(mu)
-    values: Dict[tuple[int, ...], int] = {}
-    for nu in partition_list(n):
-        v = ch.get(nu, 0) * centralizer_order(nu)
-        if v.denominator != 1:
+    den, terms = _frobenius(mu)
+    values = dict.fromkeys(partition_list(sum(mu)), 0)
+    for nu, c in terms:
+        v, rem = divmod(c * centralizer_order(nu), den)
+        if rem:
             raise ArithmeticError(f"non-integral induced value at {nu}")
-        values[nu] = int(v)
-    return ClassFunction(n, values)
+        values[nu] = v
+    return values
 
 
-def schur_multiplicities(mu) -> Dict[tuple, int]:
+def schur_multiplicities(mu) -> Dict[Tuple[int, ...], int]:
     """Multiplicity of every irreducible chi^lam in the higher Lie
-    character of mu; asserts each is a non-negative integer."""
-    mu = tuple(mu)
-    psi = higher_lie_character(mu)
-    out = {}
-    for lam in partition_list(psi.n):
-        m = inner_product(psi, irreducible_character(lam))
-        if m.denominator != 1 or m < 0:
-            raise ArithmeticError(f"multiplicity of {lam} in psi^{mu} is {m}")
-        out[lam] = int(m)
-    return out
+    character of mu: <psi^mu, chi^lam> = sum over nu of [p_nu] ch psi^mu *
+    chi^lam(nu), over the nonzero coefficients only.  Each must be an
+    integer >= 0; ArithmeticError otherwise."""
+    mu = check_class_type(mu)
+    den, terms = _frobenius(mu)
+    return {
+        lam: _count(
+            sum(c * _mn(lam, nu) for nu, c in terms),
+            den,
+            "multiplicity of %s in psi^%s",
+            lam,
+            mu,
+        )
+        for lam in partition_list(sum(mu))
+    }
 
 
 def hook_mults_oracle(mu) -> tuple[int, ...]:
@@ -238,12 +210,11 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
     """
     mu = check_class_type(mu)
     n = sum(mu)
-    ch = _frobenius(mu)
-    den = math.lcm(*(c.denominator for c in ch.values()))
+    den, terms = _frobenius(mu)
     # (1 + t) * sum_k m_k t^k, scaled by den to stay in the integers
     acc = [0] * (n + 1)
-    for nu, c in ch.items():
-        poly = [c.numerator * (den // c.denominator)]
+    for nu, c in terms:
+        poly = [c]
         for part in sorted(set(nu)):
             mult = nu.count(part)
             step = 1 if part % 2 else -1  # 1 - (-t)^part = 1 + step * t^part
@@ -260,11 +231,7 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
     prev = 0
     for k in range(n):
         cur = acc[k] - prev
-        if cur % den or cur < 0:
-            raise ArithmeticError(
-                f"hook multiplicity k={k} of psi^{mu} is {Fraction(cur, den)}"
-            )
-        out.append(cur // den)
+        out.append(_count(cur, den, "hook multiplicity k=%d of psi^%s", k, mu))
         prev = cur
     if acc[n] != prev:
         raise ArithmeticError(f"hook expansion of psi^{mu} is not divisible by 1+t")
@@ -323,18 +290,17 @@ def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
     integer >= 0; ArithmeticError otherwise.
     """
     mu = check_class_type(mu)
-    ch = _frobenius(mu)
-    den = math.lcm(*(c.denominator for c in ch.values()))
-    terms = [(nu, c.numerator * (den // c.denominator)) for nu, c in ch.items()]
-    out: Dict[Tuple[int, ...], int] = {}
-    for lam in partition_list(sum(mu)):
-        acc = sum(c * _drop_count(nu, lam) for nu, c in terms)
-        if acc % den or acc < 0:
-            raise ArithmeticError(
-                f"<ch psi^{mu}, h_{lam}> is {Fraction(acc, den)}, not a count"
-            )
-        out[lam] = acc // den
-    return out
+    den, terms = _frobenius(mu)
+    return {
+        lam: _count(
+            sum(c * _drop_count(nu, lam) for nu, c in terms),
+            den,
+            "<ch psi^%s, h_%s>",
+            mu,
+            lam,
+        )
+        for lam in partition_list(sum(mu))
+    }
 
 
 def clear_memo() -> None:
@@ -342,4 +308,3 @@ def clear_memo() -> None:
     _MN_MEMO.clear()
     _R_MEMO.clear()
     _frobenius.cache_clear()
-    irreducible_character.cache_clear()

@@ -6,8 +6,9 @@ given the command line; no file is read), csv, or text; timing always goes
 to stderr.
 Exit codes: 0 all assertions passed, 1 an assertion failed (including an
 exactness check that raised ArithmeticError), 2 usage errors (including an
-input that would walk more than cdes.WALK_LIMIT subsets or class elements;
-a verify suite checks every class it will scan before it scans any).
+input that would walk more than cdes.WALK_LIMIT subsets, class elements
+or, in the ribbon suites, (mask, shape) or (mask, submask) pairs; a verify
+suite checks every class it will scan before it scans any).
 """
 
 from __future__ import annotations
@@ -306,6 +307,16 @@ def _check_scan(n_min: int, n_max: int, elements: bool = False) -> None:
             cdes.check_walk(mu, elements)
 
 
+def _check_ribbon_walk(n_max: int, items: int, what: str) -> None:
+    """Refuse a ribbon suite whose formula would walk more than
+    cdes.WALK_LIMIT items on one class of S_(n_max), its largest n."""
+    if items > cdes.WALK_LIMIT:
+        raise ValueError(
+            f"a class of S_{n_max} walks {items} {what}, over the walk limit of "
+            f"{cdes.WALK_LIMIT}"
+        )
+
+
 def _feasible(mu) -> bool:
     return not isinstance(
         cdes.solve_extension(cdes.descent_distribution(mu)), cdes.Infeasible
@@ -397,6 +408,10 @@ def suite_gr_fibers(args, report: Report) -> None:
     descent_distribution for every class and every descent set, n <= n_max."""
     n_max = args.n_max or 6
     _check_scan(1, n_max)
+    # straight_ribbon_fiber sums over every shape for each of 2^(n-1) masks
+    _check_ribbon_walk(
+        n_max, 2 ** (n_max - 1) * len(partition_list(n_max)), "(mask, shape) pairs"
+    )
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []
@@ -466,6 +481,8 @@ def suite_affine_fibers(args, report: Report) -> None:
     characters reproduces every solved cDes fiber size, n <= n_max."""
     n_max = args.n_max or 7
     _check_scan(1, n_max)
+    # affine_ribbon_fiber walks every submask of every mask: 3^n pairs
+    _check_ribbon_walk(n_max, 3**n_max, "(mask, submask) pairs")
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []

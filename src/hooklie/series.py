@@ -161,7 +161,6 @@ class IntPolynomial:
 
 
 _ZERO = IntPolynomial()
-_ONE = IntPolynomial((1,))
 
 
 class BiSeries:
@@ -179,19 +178,6 @@ class BiSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
-
-    @classmethod
-    def one(cls, s_max: int) -> "BiSeries":
-        return cls(s_max, (_ONE,))
-
-    @classmethod
-    def monomial(cls, s_max: int, x_deg: int, y_deg: int = 1, c: int = 1) -> "BiSeries":
-        """c * x^x_deg * y^y_deg."""
-        poly = IntPolynomial([0] * x_deg + [c])
-        ps = [_ZERO] * (s_max + 1)
-        if y_deg <= s_max:
-            ps[y_deg] = poly
-        return cls(s_max, ps)
 
     def coeff(self, s: int) -> IntPolynomial:
         if not 0 <= s <= self.s_max:
@@ -212,14 +198,7 @@ class BiSeries:
     def __hash__(self) -> int:
         return hash((self.s_max, self.polys))
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._match(other)
-        return BiSeries(self.s_max, [a + b for a, b in zip(self.polys, other.polys)])
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        self._match(other)
-        return BiSeries(self.s_max, [a - b for a, b in zip(self.polys, other.polys)])
-
+    # kept for perfbench/tracer.py, which counts products by patching it
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         self._match(other)
         out = [_ZERO] * (self.s_max + 1)
@@ -231,19 +210,6 @@ class BiSeries:
                 if b:
                     out[i + j] = out[i + j] + a * b
         return BiSeries(self.s_max, out)
-
-    def __pow__(self, e: int) -> "BiSeries":
-        if e < 0:
-            raise ValueError("negative power of a series")
-        result = BiSeries.one(self.s_max)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __repr__(self) -> str:
         return f"BiSeries({self.s_max}, {self.polys!r})"

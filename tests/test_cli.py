@@ -92,7 +92,13 @@ def test_class_over_size_limit_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "suite, n_max, route",
-    [("main-theorem", "19", "descent_distribution"), ("cellini", "11", "cellini_closed")],
+    [
+        ("main-theorem", "19", "descent_distribution"),
+        ("cellini", "11", "cellini_closed"),
+        # 2^12 masks times p(13) = 101 shapes, and 3^12 (mask, submask) pairs
+        ("gr-fibers", "13", "descent_distribution"),
+        ("affine-fibers", "12", "descent_distribution"),
+    ],
 )
 def test_verify_scan_over_walk_limit_exits_2_before_scanning(
     suite, n_max, route, monkeypatch, capsys
@@ -105,6 +111,22 @@ def test_verify_scan_over_walk_limit_exits_2_before_scanning(
     assert code == 2
     assert out == ""
     assert "walk limit" in err
+
+
+class ScanStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("suite, n_max", [("gr-fibers", "12"), ("affine-fibers", "11")])
+def test_ribbon_suites_admit_their_largest_n(suite, n_max, monkeypatch):
+    # 2^11 * p(12) = 157,696 and 3^11 = 177,147 are under the walk limit,
+    # so the scan starts (and is stopped at its first class)
+    def first_class(*args):
+        raise ScanStarted
+
+    monkeypatch.setattr(cdes, "descent_distribution", first_class)
+    with pytest.raises(ScanStarted):
+        main(["verify", suite, "--n-max", n_max])
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):

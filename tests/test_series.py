@@ -87,17 +87,10 @@ def test_pretty_printing():
 # -- BiSeries ----------------------------------------------------------------
 
 
-def test_biseries_one_and_monomial():
-    one = BiSeries.one(3)
-    assert one.coeff(0) == ONE
-    assert one.coeff(3) == IntPolynomial(())
-    m = BiSeries.monomial(3, x_deg=2, y_deg=1, c=5)
-    assert m.coeff(1).coeffs == (0, 0, 5)
-    assert m.coeff(0) == IntPolynomial(())
-
-
 def test_biseries_truncating_product():
-    t = BiSeries.monomial(2, x_deg=1)  # xy truncated at y^2
+    t = BiSeries(2, [IntPolynomial(()), X])  # xy truncated at y^2
+    assert t.polys == (IntPolynomial(()), X, IntPolynomial(()))  # padded
+    assert BiSeries(1, [ONE, X, X]).polys == (ONE, X)  # cut at y^1
     sq = t * t
     assert sq.coeff(2).coeffs == (0, 0, 1)
     cube = sq * t  # y^3 term falls off the truncation
@@ -106,7 +99,7 @@ def test_biseries_truncating_product():
 
 def test_biseries_coeff_out_of_range():
     with pytest.raises(IndexError):
-        BiSeries.one(2).coeff(3)
+        BiSeries(2, [ONE]).coeff(3)
 
 
 # -- Witt transform ----------------------------------------------------------
