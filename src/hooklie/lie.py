@@ -57,25 +57,31 @@ def witt_coeffs(r: int) -> Tuple[int, ...]:
     """Coefficients f_0..f_r with f_j = (1/r) * sum over d | gcd(r, j)
     of moebius(d) * (-1)^(j + j/d) * binom(r/d, j/d).
 
-    Equivalently the coefficients of the Witt transform of 1-x taken at
-    -x; that second, generic-polynomial route is computed at every r and
-    any mismatch aborts.
+    The sum runs divisor first: each square-free d | r adds
+    moebius(d) * (-1)^(qd + q) * binom(r/d, q) to entry qd for q = 0..r/d,
+    so moebius is evaluated once per divisor and the binomials are one
+    row, each from the last by an exact division.  Equivalently the
+    coefficients of the Witt transform of 1-x taken at -x; that second,
+    generic-polynomial route is computed at every r and any mismatch
+    aborts.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    total = [0] * (r + 1)
+    for d in divisors(r):
+        md = moebius(d)
+        if md == 0:
+            continue
+        m = r // d
+        binom = md  # moebius(d) * binom(m, q), stepped along the row
+        for q in range(m + 1):
+            total[q * d] += -binom if (q * d + q) % 2 else binom
+            binom = binom * (m - q) // (q + 1)
     f = []
-    for j in range(r + 1):
-        total = 0
-        for d in divisors(math.gcd(r, j) if j else r):
-            md = moebius(d)
-            if md == 0:
-                continue
-            q = j // d
-            term = md * math.comb(r // d, q)
-            total += -term if (j + q) % 2 else term
-        if total % r:
+    for j, t in enumerate(total):
+        if t % r:
             raise ArithmeticError(f"Witt coefficient f_{j} not integral at r={r}")
-        f.append(total // r)
+        f.append(t // r)
     if f[1] != 1:
         raise ArithmeticError(f"f_1 = {f[1]} != 1 at r={r}")
     if f[0] != (1 if r == 1 else 0):

@@ -3,6 +3,13 @@
 IntPolynomial is an immutable coefficient tuple with no trailing zeros.
 BiSeries holds the coefficients of y^0 .. y^(s_max) as IntPolynomials and
 is exact in x (no x-truncation anywhere).  Nothing here ever rounds.
+
+Products and powers of polynomials go by Kronecker substitution: the
+coefficients are packed as base-2^k digits of one Python integer (the
+polynomial evaluated at x = 2^k), the integers are multiplied or powered,
+and the digits are read back as signed coefficients.  k is chosen before
+packing from an a-priori bound on every output coefficient, so each digit
+holds its coefficient exactly and no carry crosses into its neighbour.
 """
 
 from __future__ import annotations
@@ -17,6 +24,42 @@ __all__ = [
     "witt_transform",
     "is_unimodal",
 ]
+
+
+# -- Kronecker substitution ----------------------------------------------------
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit for signed coefficients of absolute value at most
+    bound: the digit width k = 8 * bytes satisfies bound < 2^(k-1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs: Sequence[int], nb: int) -> int:
+    """sum of coeffs[i] * 2^(8*nb*i), built from byte strings, not by Horner."""
+    zero = bytes(nb)
+    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in coeffs)
+    value = int.from_bytes(pos, "little")
+    if any(c < 0 for c in coeffs):
+        neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in coeffs)
+        value -= int.from_bytes(neg, "little")
+    return value
+
+
+def _unpack(value: int, length: int, nb: int) -> list:
+    """The length signed base-2^(8*nb) digits of value, lowest first.
+
+    Adding 2^(k-1) to every digit makes each one a non-negative k-bit
+    field, so a single to_bytes call splits them; the offset is then
+    subtracted digit by digit.
+    """
+    half = 1 << (8 * nb - 1)
+    offset = int.from_bytes((bytes(nb - 1) + b"\x80") * length, "little")
+    raw = (value + offset).to_bytes(nb * length, "little")
+    return [
+        int.from_bytes(raw[i : i + nb], "little") - half
+        for i in range(0, nb * length, nb)
+    ]
 
 
 class IntPolynomial:
@@ -70,27 +113,22 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        nb = _digit_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+        packed = _pack(a, nb) * _pack(b, nb)
+        return IntPolynomial(_unpack(packed, len(a) + len(b) - 1, nb))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPolynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPolynomial((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        a = self.coeffs
+        if e == 0:
+            return IntPolynomial((1,))
+        if not a:
+            return self
+        nb = _digit_bytes(sum(map(abs, a)) ** e)
+        return IntPolynomial(_unpack(_pack(a, nb) ** e, (len(a) - 1) * e + 1, nb))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -218,21 +256,24 @@ class BiSeries:
 def witt_transform(p: IntPolynomial, r: int) -> IntPolynomial:
     """(1/r) * sum over d | r of moebius(d) * p(x^d)^(r/d).
 
-    Every coefficient of the sum must be divisible by r; a failure is a
-    bug or invalid input and raises instead of rounding.
+    Each p^(r/d) is one Kronecker-substitution power, its coefficient at
+    x^i added at x^(i*d).  Every coefficient of the sum must be divisible
+    by r; a failure is a bug or invalid input and raises instead of
+    rounding.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    acc = _ZERO
+    acc = [0] * (p.degree * r + 1) if p else []
     for d in divisors(r):
         md = moebius(d)
         if md == 0:
             continue
-        acc = acc + md * (p.substitute_power(d) ** (r // d))
-    bad = [v for v in acc.coeffs if v % r]
+        for i, c in enumerate((p ** (r // d)).coeffs):
+            acc[i * d] += md * c
+    bad = [v for v in acc if v % r]
     if bad:
         raise ArithmeticError(f"Witt transform not integral at r={r}")
-    return IntPolynomial(v // r for v in acc.coeffs)
+    return IntPolynomial(v // r for v in acc)
 
 
 def is_unimodal(seq) -> bool:

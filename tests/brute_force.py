@@ -14,6 +14,11 @@ hooklie.cdes.descent_distribution, and costs the class size.
 extension_records builds the document of a construct dump as a dict, with
 des recomputed from each permutation; json.dumps of it with sort_keys=True
 and indent=1 is the reference for the streaming hooklie.cdes.write_extension.
+
+schoolbook_mul and power_by_squaring multiply coefficient by coefficient;
+they are the reference for the Kronecker-substitution product and power
+of hooklie.series.IntPolynomial, and witt_transform_by_schoolbook
+assembles the Witt transform from them alone.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from hooklie.combinat import (
     cycle_type,
     descent_set,
     divisors,
+    moebius,
     partition_list,
     subset_elements,
 )
+from hooklie.series import IntPolynomial
 
 
 def _poly_rem_monic(p: list[int], q: tuple[int, ...]) -> list[int]:
@@ -172,3 +179,44 @@ def extension_records(sol) -> dict:
             for pi in sorted(sol.cdes)
         ],
     }
+
+
+def schoolbook_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p * q by the double loop over coefficient pairs."""
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return IntPolynomial()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return IntPolynomial(out)
+
+
+def power_by_squaring(p: IntPolynomial, e: int) -> IntPolynomial:
+    """p ** e by repeated squaring with schoolbook_mul."""
+    if e < 0:
+        raise ValueError("negative power of a polynomial")
+    result = IntPolynomial((1,))
+    base = p
+    while e:
+        if e & 1:
+            result = schoolbook_mul(result, base)
+        e >>= 1
+        if e:
+            base = schoolbook_mul(base, base)
+    return result
+
+
+def witt_transform_by_schoolbook(p: IntPolynomial, r: int) -> IntPolynomial:
+    """(1/r) * sum over d | r of moebius(d) * p(x^d)^(r/d), every product
+    taken by schoolbook_mul; raises unless each coefficient divides by r."""
+    acc = IntPolynomial()
+    for d in divisors(r):
+        md = moebius(d)
+        if md:
+            acc = acc + power_by_squaring(p.substitute_power(d), r // d) * md
+    if any(v % r for v in acc.coeffs):
+        raise ArithmeticError(f"Witt transform not integral at r={r}")
+    return IntPolynomial(v // r for v in acc.coeffs)

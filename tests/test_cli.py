@@ -203,6 +203,29 @@ def test_witt_reflect(capsys):
     assert reflected == {0: "0", 1: "1", 2: "3", 3: "3", 4: "2", 5: "1"}
 
 
+# SHA-256 of the stdout of `hooklie witt <args> --format json` as the
+# schoolbook product and power wrote it; the Kronecker kernel must keep
+# every byte on user polynomials.
+WITT_DIGESTS = {
+    "user-poly-reflected": (
+        "12 --coeffs 3,-7,0,5 --reflect",
+        "03e9d8257e630a0014a50b740b993e38b94bdd7bc198adea19e31dff8743480a",
+    ),
+    "one-minus-x-r60": (
+        "60",
+        "e4a004c522e9c7573d7a2dd6dd85f3779f860d3bb41313d0e9ae8010768bb4d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITT_DIGESTS))
+def test_witt_json_bytes_are_pinned(name, capsys):
+    args, digest = WITT_DIGESTS[name]
+    code, out, _ = run(["witt", *args.split(), "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_json_reports_are_deterministic(capsys):
     _, doc1, _ = run_json(["verify", "cellini"], capsys)
     _, doc2, _ = run_json(["verify", "cellini"], capsys)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from brute_force import power_by_squaring, schoolbook_mul, witt_transform_by_schoolbook
 from hooklie.series import (
     BiSeries,
     IntPolynomial,
@@ -48,6 +49,60 @@ def test_substitute_power():
     assert p.substitute_power(3).coeffs == (1, 0, 0, 1)
     q = IntPolynomial((1, 2, 3))
     assert q.substitute_power(2).coeffs == (1, 0, 2, 0, 3)
+
+
+def _random_poly(rng, max_len, bits):
+    top = 1 << bits
+    length = rng.randrange(max_len + 1)
+    return IntPolynomial(rng.randrange(-top, top + 1) for _ in range(length))
+
+
+def test_product_and_power_match_schoolbook_oracle():
+    # random polynomials: negative coefficients, coefficients past 2^64,
+    # the zero polynomial (length 0) and sparse p(x^d)
+    rng = random.Random(11)
+    for _ in range(400):
+        bits = rng.choice((1, 3, 31, 64, 70, 130))
+        p, q = _random_poly(rng, 6, bits), _random_poly(rng, 6, bits)
+        if rng.random() < 0.3:
+            p = p.substitute_power(rng.randrange(2, 6))
+        assert p * q == schoolbook_mul(p, q)
+        assert q * p == schoolbook_mul(q, p)
+        e = rng.randrange(6)
+        assert p**e == power_by_squaring(p, e)
+
+
+def test_product_and_power_edge_cases():
+    zero = IntPolynomial()
+    big = IntPolynomial((1 << 70, -(1 << 65) + 3, 7))
+    assert big * zero == zero and zero * big == zero and zero * zero == zero
+    assert zero**0 == ONE and zero**1 == zero and zero**5 == zero
+    assert big**0 == ONE and big**1 == big
+    assert big**3 == power_by_squaring(big, 3)
+    sparse = big.substitute_power(4)
+    assert sparse**3 == power_by_squaring(big, 3).substitute_power(4)
+    assert sparse**3 == power_by_squaring(sparse, 3)
+
+
+def test_product_and_power_at_the_packing_bound():
+    # outputs whose extreme coefficient equals the a-priori bound
+    # min(len a, len b) * max|a| * max|b| (products) or (sum |a_i|)^e
+    # (powers of monomials), around each power of two
+    for t in range(1, 140, 3):
+        for c in ((1 << t) - 1, 1 << t, (1 << t) + 1):
+            for n in (1, 2, 5):
+                a = IntPolynomial([c] * n)
+                b = IntPolynomial([-c] * n)
+                assert a * b == schoolbook_mul(a, b)
+                assert (a * b).coeff(n - 1) == -n * c * c
+                assert a * a == schoolbook_mul(a, a)
+            for e in (1, 2, 3, 7):
+                m = IntPolynomial((0, 0, -c))
+                assert (m**e).coeffs == (0,) * (2 * e) + ((-c) ** e,)
+    # (1 + x)^e: the middle coefficient binom(e, e/2) is the largest
+    for e in range(70):
+        assert ((ONE + X) ** e) == power_by_squaring(ONE + X, e)
+        assert ((ONE - X) ** e) == power_by_squaring(ONE - X, e)
 
 
 def test_power_rejects_negative_exponent():
@@ -142,6 +197,18 @@ def test_witt_transform_always_integral():
         r = rng.randrange(1, 9)
         w = witt_transform(p, r)
         assert all(isinstance(c, int) for c in w.coeffs)
+
+
+def test_witt_transform_matches_schoolbook_oracle():
+    # the kernel route against the transform assembled from oracle products
+    rng = random.Random(17)
+    cases = [(IntPolynomial(), r) for r in (1, 6, 40)]
+    for _ in range(80):
+        bits = rng.choice((2, 8, 70))
+        p = _random_poly(rng, 4, bits)
+        cases.append((p, rng.randrange(1, 41)))
+    for p, r in cases:
+        assert witt_transform(p, r) == witt_transform_by_schoolbook(p, r)
 
 
 def test_witt_transform_necklace_identity():
