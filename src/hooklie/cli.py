@@ -8,7 +8,8 @@ Exit codes: 0 all assertions passed, 1 an assertion failed (including an
 exactness check that raised ArithmeticError), 2 usage errors (including an
 input that would walk more than cdes.WALK_LIMIT subsets, class elements
 or, in the ribbon suites, (mask, shape) or (mask, submask) pairs; a verify
-suite checks every class it will scan before it scans any).
+suite checks every class it will scan before it scans any, and kw-identity
+the 2^n_max subsets of its largest n).
 """
 
 from __future__ import annotations
@@ -307,9 +308,9 @@ def _check_scan(n_min: int, n_max: int, elements: bool = False) -> None:
             cdes.check_walk(mu, elements)
 
 
-def _check_ribbon_walk(n_max: int, items: int, what: str) -> None:
-    """Refuse a ribbon suite whose formula would walk more than
-    cdes.WALK_LIMIT items on one class of S_(n_max), its largest n."""
+def _check_suite_walk(n_max: int, items: int, what: str) -> None:
+    """Refuse a ribbon or kw-identity suite whose formula would walk more
+    than cdes.WALK_LIMIT items on one class of S_(n_max), its largest n."""
     if items > cdes.WALK_LIMIT:
         raise ValueError(
             f"a class of S_{n_max} walks {items} {what}, over the walk limit of "
@@ -393,10 +394,13 @@ def suite_unimodality(args, report: Report) -> None:
     report.parameters.update({"r_max": r_max, "s_max": s_max})
     violations = []
     for r in range(1, r_max + 1):
-        for s in range(1, s_max + 1):
+        # largest s first, so the column-row table of r is built once
+        found = []
+        for s in range(s_max, 0, -1):
             m = lie.hook_mults(r, s)
             if not is_unimodal(m):
-                violations.append({"r": r, "s": s, "hooks": [str(v) for v in m]})
+                found.append({"r": r, "s": s, "hooks": [str(v) for v in m]})
+        violations.extend(reversed(found))
     report.payload["pairs_scanned"] = r_max * s_max
     report.payload["counterexamples"] = violations
     report.check("hook-multiplicities-unimodal", not violations)
@@ -409,7 +413,7 @@ def suite_gr_fibers(args, report: Report) -> None:
     n_max = args.n_max or 6
     _check_scan(1, n_max)
     # straight_ribbon_fiber sums over every shape for each of 2^(n-1) masks
-    _check_ribbon_walk(
+    _check_suite_walk(
         n_max, 2 ** (n_max - 1) * len(partition_list(n_max)), "(mask, shape) pairs"
     )
     report.parameters["n_max"] = n_max
@@ -432,6 +436,8 @@ def suite_kw_identity(args, report: Report) -> None:
     """Hook multiplicities of the full cycle count k-subsets of [n-1]
     with sum 1 mod n; Witt coefficients count them inside [n]."""
     n_max = args.n_max or 12
+    # subset_sum_count walks every subset of [n]
+    _check_suite_walk(n_max, 2**n_max, "subsets")
     report.parameters["n_max"] = n_max
     bad_hooks = []
     bad_witt = []
@@ -482,7 +488,7 @@ def suite_affine_fibers(args, report: Report) -> None:
     n_max = args.n_max or 7
     _check_scan(1, n_max)
     # affine_ribbon_fiber walks every submask of every mask: 3^n pairs
-    _check_ribbon_walk(n_max, 3**n_max, "(mask, submask) pairs")
+    _check_suite_walk(n_max, 3**n_max, "(mask, submask) pairs")
     report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []

@@ -5,7 +5,11 @@ the column-plus-row multiplicities e_i come from one exact product over
 part sizes with parity-twisted binomial coefficients, the hook
 multiplicities m_k are their partial alternating sums, and the
 certificate d_k decides whether the class carries a cyclic descent
-extension.  The Witt coefficients are cross-checked against the generic
+extension.  The column-plus-row numbers of each r live in one table of
+rows y^0..y^s, built once per r and shared by every consumer (the
+multiplicities, the series, the square-divisibility checks and the hook
+profile); it is rebuilt only when a caller asks for a larger s than it
+holds.  The Witt coefficients are cross-checked against the generic
 Witt transform at every r; the hook multiplicities of every rectangle
 against the character oracle.
 """
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from . import characters
 from .combinat import check_class_type, divisors, is_squarefree, moebius
@@ -122,7 +126,22 @@ def _column_row_table(r: int, s_max: int) -> list:
     return rows
 
 
-@lru_cache(maxsize=None)
+# r -> rows y^0..y^s of _column_row_table(r, s) for the largest s asked so far
+_COLUMN_ROWS: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+
+
+def _column_rows(r: int, s_max: int) -> Tuple[Tuple[int, ...], ...]:
+    """Rows y^0..y^s_max of the column-row table of r (possibly more).
+
+    Row s does not depend on the truncation order, so one memo entry per r
+    serves every s up to the largest asked; a larger s rebuilds it.
+    """
+    rows = _COLUMN_ROWS.get(r)
+    if rows is None or len(rows) <= s_max:
+        rows = _COLUMN_ROWS[r] = tuple(map(tuple, _column_row_table(r, s_max)))
+    return rows
+
+
 def column_row_mults(r: int, s: int) -> Tuple[int, ...]:
     """Multiplicities e_0..e_(rs) of the column-plus-row characters
     chi^((1^k) + (n-k)) in the higher Lie character of the class (r^s).
@@ -132,8 +151,8 @@ def column_row_mults(r: int, s: int) -> Tuple[int, ...]:
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    e = _column_row_table(r, s)[s]
-    return tuple(e) + (0,) * (r * s + 1 - len(e))
+    e = _column_rows(r, s)[s]
+    return e + (0,) * (r * s + 1 - len(e))
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +187,15 @@ def column_row_series(r: int, s_max: int) -> BiSeries:
     """Generating series: the coefficient of x^i y^s is e_i for (r^s).
 
     Product over part sizes j of (1 - (-1)^j x^j y) to the power
-    (-1)^(j+1) f_j, truncated after y^s_max and exact in x.
+    (-1)^(j+1) f_j, truncated after y^s_max and exact in x.  The rows come
+    from the one column-row table of r that column_row_mults,
+    squarefree_criterion, quotient_series and hook_profile also read; it
+    is built once per r and rebuilt only for a larger s_max than it holds.
     """
     if r < 1 or s_max < 0:
         raise ValueError("need r >= 1 and s_max >= 0")
-    return BiSeries(s_max, [IntPolynomial(row) for row in _column_row_table(r, s_max)])
+    rows = _column_rows(r, s_max)[: s_max + 1]
+    return BiSeries(s_max, [IntPolynomial(row) for row in rows])
 
 
 def _rectangle(mu: tuple) -> Optional[Tuple[int, int]]:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hooklie import cdes
+from hooklie import cdes, cli, lie
 from hooklie.characters import character_value
 from hooklie.cli import build_parser, main, parse_partition, UsageError
 from hooklie.combinat import partition_list
@@ -196,6 +196,26 @@ def test_series_squarefree_has_no_quotient(capsys):
     assert doc["payload"]["square_quotient"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the README example
+        (
+            ["series", "12", "--s-max", "3"],
+            "5088bf4ba26728cfbf5277743e8c945e6a034c39c884d751512e92328b48c08f",
+        ),
+        (
+            ["series", "100", "--s-max", "10"],
+            "debae744354c9711d72154cd527c6473e02bfa73967db553ed66617017ce1de1",
+        ),
+    ],
+)
+def test_series_json_bytes_are_pinned(argv, digest, capsys):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_witt_reflect(capsys):
     code, doc, _ = run_json(["witt", "6", "--reflect"], capsys)
     assert code == 0
@@ -248,6 +268,56 @@ def test_verify_kw_identity_passes(capsys):
     code, doc, _ = run_json(["verify", "kw-identity", "--n-max", "8"], capsys)
     assert code == 0
     assert doc["passed"] is True
+
+
+def test_verify_kw_identity_admits_n_max_18(capsys):
+    # 2^18 = 262,144 subsets of [18] are under the walk limit
+    code, doc, _ = run_json(["verify", "kw-identity", "--n-max", "18"], capsys)
+    assert code == 0
+    assert doc["passed"] is True
+
+
+def test_verify_kw_identity_over_walk_limit_exits_2_before_walking(
+    monkeypatch, capsys
+):
+    # 2^19 = 524,288 subsets of [19] are over it
+    def no_work(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(lie, "hook_mults", no_work)
+    monkeypatch.setattr(lie, "subset_sum_count", no_work)
+    code, out, err = run(["verify", "kw-identity", "--n-max", "19"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "walk limit" in err
+
+
+def test_verify_unimodality_builds_each_table_once(monkeypatch, capsys):
+    builds = []
+    table = lie._column_row_table
+
+    def counted(r, s_max):
+        builds.append((r, s_max))
+        return table(r, s_max)
+
+    monkeypatch.setattr(lie, "_column_row_table", counted)
+    monkeypatch.setattr(lie, "_COLUMN_ROWS", {})
+    lie.hook_mults.cache_clear()
+    code, _, _ = run(["verify", "unimodality", "--r-max", "10", "--s-max", "6"], capsys)
+    assert code == 0
+    assert builds == [(r, 6) for r in range(1, 11)]
+
+
+def test_verify_unimodality_lists_counterexamples_in_ascending_order(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "is_unimodal", lambda seq: False)
+    code, doc, _ = run_json(
+        ["verify", "unimodality", "--r-max", "3", "--s-max", "3"], capsys
+    )
+    assert code == 1
+    found = [(c["r"], c["s"]) for c in doc["payload"]["counterexamples"]]
+    assert found == [(r, s) for r in range(1, 4) for s in range(1, 4)]
 
 
 def test_verify_main_theorem_small(capsys):

@@ -7,6 +7,7 @@ by that oracle and spot-checked by hand.
 """
 
 import math
+import random
 
 import pytest
 
@@ -165,14 +166,51 @@ def _column_row_by_definition(r, s):
 
 
 def test_series_matches_direct_multiplicities():
-    for r in range(1, 11):
-        s_max = 4
+    for r in range(1, 13):
+        s_max = 5
         series = column_row_series(r, s_max)
         for s in range(1, s_max + 1):
             direct = _column_row_by_definition(r, s)
             assert column_row_mults(r, s) == direct, (r, s)
             coeffs = series.coeff(s).coeffs
             assert coeffs + (0,) * (len(direct) - len(coeffs)) == direct, (r, s)
+
+
+def test_column_row_memo_is_order_independent(monkeypatch):
+    # one table per r, grown on demand: the order of requests must not
+    # change a row
+    pairs = [(r, s) for r in range(1, 13) for s in range(1, 7)]
+    expected = {pair: _column_row_by_definition(*pair) for pair in pairs}
+    shuffled = random.Random(0).sample(pairs, len(pairs))
+    for order in (pairs, pairs[::-1], shuffled):
+        monkeypatch.setattr(lie, "_COLUMN_ROWS", {})
+        assert {pair: column_row_mults(*pair) for pair in order} == expected
+        for r in range(1, 13):
+            assert all(type(row) is tuple for row in lie._COLUMN_ROWS[r])
+
+
+def test_column_row_table_built_once_per_r(monkeypatch):
+    builds = []
+    table = lie._column_row_table
+
+    def counted(r, s_max):
+        builds.append((r, s_max))
+        return table(r, s_max)
+
+    monkeypatch.setattr(lie, "_column_row_table", counted)
+    monkeypatch.setattr(lie, "_COLUMN_ROWS", {})
+    for r in range(1, 13):
+        column_row_series(r, 5)
+        squarefree_criterion(r, 5)
+        quotient_series(r, 5)
+        for s in range(1, 6):
+            column_row_mults(r, s)
+    hook_profile(4, 2)
+    assert builds == [(r, 5) for r in range(1, 13)]
+    # only a larger s rebuilds the table
+    assert column_row_series(3, 7).coeff(7) == xpow(13) * ONE_PLUS_X
+    column_row_mults(3, 6)
+    assert builds[12:] == [(3, 7)]
 
 
 def test_series_constant_term_is_one():
