@@ -4,10 +4,11 @@ The Des fibers of a class come from Gessel and Reutenauer's identity
 #{pi in the class of mu : Des(pi) inside S} = <ch psi^mu, h_alpha(S)>,
 with alpha(S) the composition of n with partial sums S: one pairing per
 partition of n (characters.h_pairings), then Moebius inversion over the
-subsets of [n-1].  No class element is walked, so the cost follows
-2^(n-1) and not the class size.  Enumerating the class is the test oracle
-(tests/brute_force.py); only construct_extension and cellini_closed, which
-need the elements themselves, still walk the class.
+subsets of [n-1] on the table packed into one integer.  No class element
+is walked, so the cost follows 2^(n-1) and not the class size.
+Enumerating the class is the test oracle (tests/brute_force.py); only
+construct_extension and cellini_closed, which need the elements
+themselves, still walk the class.
 
 Every route refuses, with ValueError before any work, an input on which it
 would walk more than WALK_LIMIT subsets or class elements (check_walk).
@@ -18,18 +19,26 @@ class satisfying cDes(p(pi)) = sh(cDes(pi)), such that no cDes is empty
 or all of [n].  Fiber sizes c_J = #{pi : cDes(pi) = J} are pinned down
 by the descent distribution: c_D + c_(D u {n}) must match the Des fiber
 of D, c is constant on rotation orbits, and c_() = c_([n]) = 0.  The
-solver propagates those constraints from the empty set across all 2^n
-subsets (the constraint graph is connected: rotating any set moves an
-element into position n and pairing then drops it, so induction reaches
-the empty set), which also makes the solution unique when it exists.
+solver fills c over all 2^n subsets in one pass of descending mask from
+c_[n] = 0: the count of D u {n} is that of its inverse rotation, a higher
+mask, and pairing then gives the count of D.  The constraints the pass
+does not read (the rotations into sets without n, and c_() = 0) are
+checked after it, with no entry negative.  The constraint graph is
+connected (rotating any set moves an element into position n and pairing
+then drops it), so the solution is unique when it exists.  The
+dict-and-stack propagation from c_() = 0 is the test oracle
+(tests/brute_force.py).
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import lt, ne, sub
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from . import characters
@@ -162,33 +171,52 @@ def descent_distribution(mu) -> DescentDistribution:
     inversion over the subsets of [n-1], one element at a time, gives
     #{pi : Des(pi) = S} in O(n 2^(n-1)).
 
+    The inversion runs on the table packed as the 64-bit digits of one
+    integer, entry S at digit S: the step for bit b subtracts, in one
+    big-integer operation, every digit whose mask lacks bit b from the
+    digit 2^b above it.  Each intermediate value counts the elements whose
+    descents meet the processed elements in a given set and lie inside S
+    elsewhere, so it is >= 0 and at most the class size, and no digit
+    borrows.  Every pairing is checked to be at most the class size first.
+
     Nothing is enumerated, so the class size does not bound the cost; the
     table has 2^(n-1) entries and solve_extension walks 2^n subsets, so
-    check_walk refuses n >= 19 with ValueError before any work.  A negative
-    fiber, or fibers that do not sum to the class size, raise
-    ArithmeticError.
+    check_walk refuses n >= 19 with ValueError before any work.  A pairing
+    over the class size, a negative fiber, or fibers that do not sum to the
+    class size raise ArithmeticError.
     """
     mu = check_walk(mu)
     n = sum(mu)
+    size = class_size(mu)
     pairings = characters.h_pairings(mu)
     values = [pairings[lam] for lam in partition_list(n)]
-    table = [values[k] for k in _composition_shapes(n)]  # #{Des inside S}
-    size = len(table)
-    bit = 1
-    while bit < size:
-        for base in range(0, size, 2 * bit):
-            for mask in range(base + bit, base + 2 * bit):
-                table[mask] -= table[mask - bit]
-        bit <<= 1
-    fibers: Dict[int, int] = {}
-    for mask, count in enumerate(table):
-        if count:
-            if count < 0:
-                raise ArithmeticError(
-                    f"negative Des fiber {count} at {subset_elements(mask)} for {mu}"
-                )
-            fibers[mask] = count
-    return _checked_distribution(mu, fibers)
+    if max(values) > size:
+        raise ArithmeticError(f"a pairing of {mu} exceeds the class size {size}")
+    top = 1 << (n - 1)
+    digits = f"<{top}q"
+    # #{Des inside S} at digit S; n * size < 2^63 for n <= 18, so even the
+    # lowest negative value of a doctored table reads back exactly
+    packed = int.from_bytes(
+        struct.pack(digits, *map(values.__getitem__, _composition_shapes(n))), "little"
+    )
+    for b in range(n - 1):
+        width = 64 << b  # bits in 2^b digits
+        lacks_b = (1 << width) - 1  # the digits 0 .. 2^b - 1, then repeated
+        span = 2 * width
+        while span < 64 * top:
+            lacks_b |= lacks_b << span
+            span *= 2
+        packed -= (packed & lacks_b) << width
+    # a borrow runs upward only: the digits below the lowest negative fiber
+    # are exact, and so is that fiber, read back signed
+    packed &= (1 << (64 * top)) - 1
+    table = struct.unpack(digits, packed.to_bytes(8 * top, "little"))
+    if min(table) < 0:
+        mask = list(map(lt, table, repeat(0))).index(True)
+        raise ArithmeticError(
+            f"negative Des fiber {table[mask]} at {subset_elements(mask)} for {mu}"
+        )
+    return _checked_distribution(mu, dict(compress(enumerate(table), table)))
 
 
 def _checked_distribution(
@@ -203,40 +231,53 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
     """Unique cDes-fiber sizes consistent with the distribution, or
     Infeasible with the violated constraint.
 
-    Propagates c_() = 0 through pairing (c_D + c_(D u {n}) = Des fiber
-    of D) and rotation-orbit equality over all subsets of [n].  An n whose
-    2^n subsets exceed WALK_LIMIT is refused with ValueError.
+    One pass in descending mask from c_[n] = 0.  For j inside [n-1], let
+    L[j] = c_j and H[j] = c_(j u {n}).  Rotation invariance gives
+    H[j] = c_(k u {n}) for odd j and c_k for even j, with
+    k = (j >> 1) | 2^(n-2) > j unless j = [n-1]; pairing
+    (c_D + c_(D u {n}) = Des fiber of D) then gives L = f - H.  Each block
+    of masks [2^(n-1) - 2^i, 2^(n-1) - 2^(i-1)) reads only the block above
+    it, so it is two strided slice copies and one elementwise subtraction.
+
+    Three checks follow the pass, in this order; the first reads the
+    rotations into sets without n, which the pass did not:
+      conflicting-counts  c_J != c_(sh J) for some J (reported: the lowest
+                          such mask), so the constraints are inconsistent;
+      nonzero-full-set    c_() != 0.  The homogeneous solution is
+                          +-(-1)^|J|, so the propagation from c_() = 0
+                          would find c_[n] != 0 instead: [n] is reported;
+      negative-count      some c_J < 0 (reported: the lowest such mask).
+    The constraint graph is connected (rotating any set moves an element
+    into position n and pairing then drops it), so the solution is unique
+    when it exists.  An n whose 2^n subsets exceed WALK_LIMIT is refused
+    with ValueError before any fiber is read.
     """
     n = dist.n
     _check_subsets(n)
     top = 1 << (n - 1)
-    full = full_mask(n)
-    fiber = dist.fibers.get
-    c = {0: 0}
-    stack = [0]
-    while stack:
-        j = stack.pop()
-        v = c[j]
-        rot = ((j << 1) | (j >> (n - 1))) & full  # rotate_subset, unchecked
-        if j & top:
-            partner, pv = j ^ top, fiber(j ^ top, 0) - v
-        else:
-            partner, pv = j | top, fiber(j, 0) - v
-        for k, kv in ((rot, v), (partner, pv)):
-            known = c.get(k)
-            if known is None:
-                c[k] = kv
-                stack.append(k)
-            elif known != kv:
-                return Infeasible("conflicting-counts", subset_elements(k))
-    if len(c) != full + 1:
-        raise AssertionError("constraint graph failed to reach every subset")
-    if c[full] != 0:
-        return Infeasible("nonzero-full-set", subset_elements(full))
-    for j in range(full + 1):
-        if c[j] < 0:
-            return Infeasible("negative-count", subset_elements(j))
-    return FiberSolution(n, {j: v for j, v in c.items() if v})
+    f = list(map(dist.fibers.get, range(top), repeat(0)))
+    low = [0] * top  # L[j] = c_j
+    high = [0] * top  # H[j] = c_(j u {n}); H[top - 1] = c_[n] = 0
+    low[-1] = f[-1]
+    end = top - 1
+    for i in range(1, n):
+        start = top - (1 << i)
+        width = end - start  # the block above starts at end, with half as many
+        high[start:end:2] = low[end : end + (width + 1) // 2]
+        high[start + 1 : end : 2] = high[end : end + width // 2]
+        low[start:end] = map(sub, f[start:end], high[start:end])
+        end = start
+    c = low + high  # c[J] for every mask J of [n]
+    rotated = c[::2] + c[1::2]  # rotated[J] = c_(sh J)
+    if c != rotated:
+        mask = list(map(ne, c, rotated)).index(True)
+        return Infeasible("conflicting-counts", subset_elements(mask))
+    if c[0]:
+        return Infeasible("nonzero-full-set", subset_elements(full_mask(n)))
+    if min(c) < 0:
+        mask = list(map(lt, c, repeat(0))).index(True)
+        return Infeasible("negative-count", subset_elements(mask))
+    return FiberSolution(n, dict(compress(enumerate(c), c)))
 
 
 def _escher_note(mu: Tuple[int, ...]) -> str:

@@ -17,8 +17,9 @@ values in nu, divided by den and checked to be an integer:
                         off one polynomial in t per nu;
   h_pairings            <ch psi^mu, h_lam> = sum_nu [p_nu] ch psi^mu R(nu, lam),
                         which counts the class elements by descent set
-                        (Gessel-Reutenauer), on one memo table of R shared
-                        by every class.
+                        (Gessel-Reutenauer), from the rows R(nu, .) built
+                        once per n on one memo table of R shared by every
+                        class.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 from typing import Dict, Iterator, Tuple
 
 from .combinat import (
@@ -280,9 +283,16 @@ def _drop_count(parts: Tuple[int, ...], caps: Tuple[int, ...]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _r_rows(n: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """For every nu |- n, the row of R(nu, lam) over lam in partition_list(n)."""
+    lams = partition_list(n)
+    return {nu: tuple(_drop_count(nu, lam) for lam in lams) for nu in lams}
+
+
 def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
     """<ch psi^mu, h_lam> for every lam |- n, as sum over nu of
-    [p_nu] ch psi^mu * R(nu, lam).
+    [p_nu] ch psi^mu * R(nu, lam), accumulated one row of R per nu.
 
     By Gessel and Reutenauer (JCTA 64, 1993), this counts the elements of
     the class of mu whose descent set lies inside any S with composition
@@ -290,16 +300,15 @@ def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
     integer >= 0; ArithmeticError otherwise.
     """
     mu = check_class_type(mu)
+    n = sum(mu)
     den, terms = _frobenius(mu)
+    rows = _r_rows(n)
+    acc = [0] * len(rows)
+    for nu, c in terms:
+        acc = list(map(add, acc, map(mul, rows[nu], repeat(c))))
     return {
-        lam: _count(
-            sum(c * _drop_count(nu, lam) for nu, c in terms),
-            den,
-            "<ch psi^%s, h_%s>",
-            mu,
-            lam,
-        )
-        for lam in partition_list(sum(mu))
+        lam: _count(a, den, "<ch psi^%s, h_%s>", mu, lam)
+        for lam, a in zip(partition_list(n), acc)
     }
 
 
@@ -307,4 +316,5 @@ def clear_memo() -> None:
     """Drop all memoized character data (mainly for tests)."""
     _MN_MEMO.clear()
     _R_MEMO.clear()
+    _r_rows.cache_clear()
     _frobenius.cache_clear()

@@ -216,8 +216,10 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # is a path of length 1): the position i being filled is the tail of
     # its path and every free value is the head of one.  pi(i) = v closes
     # a cycle when v heads i's own path and joins two paths otherwise; v is
-    # pruned when that cycle length is no longer needed or the joined path
-    # would be longer than every cycle still needed.
+    # pruned when that cycle length is no longer needed, when the joined
+    # path would be longer than every cycle still needed, or when the join
+    # would leave fewer lone elements than fixed points still needed (only
+    # a lone element can become one).
     n = sum(mu)
     need = [0] * (n + 1)  # need[k]: cycles of length k still to close
     for part in mu:
@@ -227,6 +229,7 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     tail = list(range(n + 1))  # tail[h]: last element of the path starting at h
     size = [1] * (n + 1)  # size[h]: number of elements on the path starting at h
     free = [True] * (n + 1)
+    lone = n  # open paths of length 1
     pi = [0] * n
     i, v = 1, 1  # the position being filled and the next value to try there
     while True:
@@ -239,8 +242,15 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 yield tuple(pi)
             v = n + 1
         else:
+            # lone elements a join may use up and still leave enough
+            spare = lone - need[1] - (ln == 1)
             while v <= n and not (
-                free[v] and (need[ln] if v == h else ln + size[v] <= longest)
+                free[v]
+                and (
+                    need[ln]
+                    if v == h
+                    else ln + size[v] <= longest and spare >= (size[v] == 1)
+                )
             ):
                 v += 1
         if v <= n:
@@ -248,9 +258,11 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             free[v] = False
             if v == h:
                 need[ln] -= 1
+                lone -= ln == 1
                 while not need[longest]:
                     longest -= 1
             else:
+                lone -= (ln == 1) + (size[v] == 1)
                 t = tail[v]
                 tail[h] = t
                 head[t] = h
@@ -267,11 +279,13 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if v == h:
             ln = size[h]
             need[ln] += 1
+            lone += ln == 1
             longest = max(longest, ln)
         else:
             size[h] -= size[v]
             tail[h] = i
             head[tail[v]] = v
+            lone += (size[h] == 1) + (size[v] == 1)
         v += 1
 
 

@@ -11,6 +11,11 @@ descent_distribution_by_enumeration walks the conjugacy class and counts
 each descent set; it is the reference for the Gessel-Reutenauer route of
 hooklie.cdes.descent_distribution, and costs the class size.
 
+solve_extension_by_propagation solves for the cDes fibers by propagating
+c_() = 0 through the pairing and rotation constraints with a dict and a
+stack, one subset at a time; it is the reference for the descending slice
+pass of hooklie.cdes.solve_extension, which starts from c_[n] = 0.
+
 extension_records builds the document of a construct dump as a dict, with
 des recomputed from each permutation; json.dumps of it with sort_keys=True
 and indent=1 is the reference for the streaming hooklie.cdes.write_extension.
@@ -28,13 +33,14 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Dict
 
-from hooklie.cdes import DescentDistribution
+from hooklie.cdes import DescentDistribution, FiberSolution, Infeasible
 from hooklie.combinat import (
     centralizer_order,
     conjugacy_class,
     cycle_type,
     descent_set,
     divisors,
+    full_mask,
     moebius,
     partition_list,
     subset_elements,
@@ -157,6 +163,42 @@ def descent_distribution_by_enumeration(mu) -> DescentDistribution:
         d = descent_set(pi)
         fibers[d] = fibers.get(d, 0) + 1
     return DescentDistribution(sum(mu), fibers)
+
+
+def solve_extension_by_propagation(dist: DescentDistribution):
+    """The cDes-fiber sizes of the distribution as a FiberSolution, or
+    Infeasible: c_() = 0 spread over all 2^n subsets of [n] by pairing
+    (c_D + c_(D u {n}) = Des fiber of D) and rotation, a conflict reported
+    at the subset where it shows, then c_[n] = 0 and c_J >= 0 checked."""
+    n = dist.n
+    top = 1 << (n - 1)
+    full = full_mask(n)
+    fiber = dist.fibers.get
+    c = {0: 0}
+    stack = [0]
+    while stack:
+        j = stack.pop()
+        v = c[j]
+        rot = ((j << 1) | (j >> (n - 1))) & full
+        if j & top:
+            partner, pv = j ^ top, fiber(j ^ top, 0) - v
+        else:
+            partner, pv = j | top, fiber(j, 0) - v
+        for k, kv in ((rot, v), (partner, pv)):
+            known = c.get(k)
+            if known is None:
+                c[k] = kv
+                stack.append(k)
+            elif known != kv:
+                return Infeasible("conflicting-counts", subset_elements(k))
+    if len(c) != full + 1:
+        raise AssertionError("constraint graph failed to reach every subset")
+    if c[full] != 0:
+        return Infeasible("nonzero-full-set", subset_elements(full))
+    for j in range(full + 1):
+        if c[j] < 0:
+            return Infeasible("negative-count", subset_elements(j))
+    return FiberSolution(n, {j: v for j, v in c.items() if v})
 
 
 def extension_records(sol) -> dict:

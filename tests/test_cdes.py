@@ -2,14 +2,21 @@
 dump writer, the Cellini closure scan, and the two ribbon-fiber formulas.
 
 The Gessel-Reutenauer descent fibers are compared against the class
-enumeration of tests/brute_force.py."""
+enumeration of tests/brute_force.py, and the slice-pass solver against the
+dict-and-stack propagation there."""
 
 import io
 import json
 import math
+import random
+import re
 
 import pytest
-from brute_force import descent_distribution_by_enumeration, extension_records
+from brute_force import (
+    descent_distribution_by_enumeration,
+    extension_records,
+    solve_extension_by_propagation,
+)
 
 from hooklie import cdes, characters
 from hooklie.cdes import (
@@ -126,6 +133,54 @@ def test_distribution_refuses_negative_fiber(monkeypatch):
         descent_distribution((2, 1))
 
 
+def test_distribution_refuses_pairing_over_class_size(monkeypatch):
+    # the packed inversion needs every #{Des inside S} within the class size
+    doctored = {(3,): 0, (2, 1): 4, (1, 1, 1): 3}
+    monkeypatch.setattr(characters, "h_pairings", lambda mu: doctored)
+    with pytest.raises(ArithmeticError, match="exceeds the class size"):
+        descent_distribution((2, 1))
+
+
+def _moebius_by_loop(n: int, counts: dict) -> list:
+    """#{Des = S} from #{Des inside S} keyed by the sorted parts of alpha(S),
+    one subset pair at a time, signed."""
+    table = []
+    for mask in range(1 << (n - 1)):
+        cuts = (0,) + subset_elements(mask) + (n,)
+        table.append(counts[tuple(sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True))])
+    for b in range(n - 1):
+        for mask in range(1 << (n - 1)):
+            if mask >> b & 1:
+                table[mask] -= table[mask ^ (1 << b)]
+    return table
+
+
+def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
+    # doctored pairings within the class size: a negative digit borrows from
+    # the digits above it, but the lowest negative fiber reads back exact
+    rng = random.Random(11)
+    negatives = 0
+    for _ in range(200):
+        mu = rng.choice([(6,), (3, 2, 1), (2, 2, 1, 1), (4, 3)])
+        n = sum(mu)
+        size = class_size(mu)
+        doctored = {lam: rng.randint(0, size) for lam in partition_list(n)}
+        doctored[(1,) * n] = size
+        monkeypatch.setattr(characters, "h_pairings", lambda mu: doctored)
+        want = _moebius_by_loop(n, doctored)
+        lowest = next((m for m, v in enumerate(want) if v < 0), None)
+        if lowest is None:
+            assert descent_distribution(mu).fibers == {
+                m: v for m, v in enumerate(want) if v
+            }
+            continue
+        negatives += 1
+        message = f"negative Des fiber {want[lowest]} at {subset_elements(lowest)} "
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            descent_distribution(mu)
+    assert negatives > 100
+
+
 # -- solver ------------------------------------------------------------------
 
 
@@ -193,6 +248,97 @@ def test_solver_feasibility_matches_certificate_dichotomy():
             rect = _rectangle(mu)
             expect_infeasible = rect is not None and is_squarefree(rect[0])
             assert isinstance(sol, Infeasible) == expect_infeasible, mu
+
+
+def test_solver_matches_propagation_oracle():
+    # verdict, reason, subset and counts, on every class with n <= 12
+    for n in range(1, 13):
+        for mu in partition_list(n):
+            dist = descent_distribution(mu)
+            assert solve_extension(dist) == solve_extension_by_propagation(dist), mu
+
+
+def _doctored(rng: random.Random, n: int) -> cdes.DescentDistribution:
+    """Des fibers paired from random counts that are constant on rotation
+    orbits (so the constraints are consistent, and zero, negative or
+    nonzero at () and [n] by chance), then, half the time, one fiber
+    nudged off."""
+    top = 1 << (n - 1)
+    c = {}
+    for j in range(1 << n):
+        if j not in c:
+            v = rng.choice((0, 0, 1, 2, 3, -1))
+            k = j
+            while k not in c:
+                c[k] = v
+                k = rotate_subset(k, n)
+    fibers = {j: c[j] + c[j | top] for j in range(top)}
+    if rng.random() < 0.5:
+        fibers[rng.randrange(top)] += rng.choice((-1, 1))
+    return cdes.DescentDistribution(n, {j: v for j, v in fibers.items() if v})
+
+
+def test_solver_matches_propagation_oracle_on_doctored_distributions():
+    rng = random.Random(20190910)
+    reasons = set()
+    for _ in range(3000):
+        dist = _doctored(rng, rng.randint(1, 7))
+        got, want = solve_extension(dist), solve_extension_by_propagation(dist)
+        assert type(got) is type(want), dist
+        if isinstance(want, Infeasible):
+            assert got.reason == want.reason, dist
+            reasons.add(want.reason)
+            if want.reason != "conflicting-counts":
+                assert got.subset == want.subset, dist
+        else:
+            assert got == want, dist
+    assert reasons == {"conflicting-counts", "nonzero-full-set", "negative-count"}
+
+
+def _pass_from_full_set(dist: cdes.DescentDistribution) -> dict:
+    """c_J for every mask J of [n], from c_[n] = 0, pairing and one
+    rotation per mask, in descending mask order."""
+    n = dist.n
+    top = 1 << (n - 1)
+    c = {}
+    for j in range(top - 1, -1, -1):
+        k = (j >> 1) | (top >> 1)  # (j u {n}) is the rotation of k or k u {n}
+        c[j | top] = 0 if j == top - 1 else c[k | (top if j & 1 else 0)]
+        c[j] = dist.count(j) - c[j | top]
+    return c
+
+
+def test_conflicting_counts_reports_the_lowest_unrotated_mask():
+    # n = 3: the pass gives c_{1} = f_{1} - f_{1,2} and c_{2} = f_{2} - f_{1,2},
+    # so f_{1} != f_{2} breaks c_{1} = c_{2}, and {1} is the lowest such mask
+    # (the propagation from c_() = 0 reports {2} instead)
+    dist = cdes.DescentDistribution(3, {M(1): 1, M(2): 2})
+    assert solve_extension(dist) == Infeasible("conflicting-counts", (1,))
+    assert solve_extension_by_propagation(dist).subset == (2,)
+    rng = random.Random(7)
+    conflicts = 0
+    for _ in range(300):
+        dist = _doctored(rng, rng.randint(3, 7))
+        sol = solve_extension(dist)
+        if isinstance(sol, Infeasible) and sol.reason == "conflicting-counts":
+            conflicts += 1
+            c = _pass_from_full_set(dist)
+            lowest = min(j for j in c if c[j] != c[rotate_subset(j, dist.n)])
+            assert sol.subset == subset_elements(lowest), dist
+    assert conflicts > 50
+
+
+def test_solver_checks_the_rotation_of_sets_containing_n():
+    # on the orbit {1,3} -> {2,4} -> {3,5} -> {1,4} -> {2,5} of [5], the
+    # pass reads only the steps into sets with 5, and the rotations of the
+    # sets without 5 are all equal here; only {3,5} -> {1,4} and
+    # {2,5} -> {1,3} break, and {2,5} is the lower of the two
+    counts = {M(1, 3): 1, M(2, 4): 1, M(3, 5): 1, M(1, 4): 2, M(2, 5): 2}
+    top = M(5)
+    fibers = {j: counts.get(j, 0) + counts.get(j | top, 0) for j in range(top)}
+    dist = cdes.DescentDistribution(5, {j: v for j, v in fibers.items() if v})
+    assert solve_extension(dist) == Infeasible("conflicting-counts", (2, 5))
+    assert solve_extension_by_propagation(dist).reason == "conflicting-counts"
 
 
 def test_solver_pure_function():

@@ -327,10 +327,12 @@ def test_verify_main_theorem_small(capsys):
 
 
 def test_verify_main_theorem_past_default_n_limit(capsys):
-    code, doc, _ = run_json(["verify", "main-theorem", "--n-max", "11"], capsys)
+    code, doc, _ = run_json(["verify", "main-theorem", "--n-max", "14"], capsys)
     assert code == 0
     assert doc["passed"] is True
-    assert doc["payload"]["classes_scanned"] == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30 + 42 + 56
+    assert doc["payload"]["classes_scanned"] == sum(
+        len(partition_list(n)) for n in range(1, 15)
+    ) == 507
 
 
 def test_failed_exactness_check_exits_1_without_traceback(monkeypatch, capsys):

@@ -164,6 +164,21 @@ def test_conjugacy_class_agrees_with_cycle_type_filter():
             assert list(conjugacy_class(mu)) == expected
 
 
+def test_conjugacy_class_is_the_class_up_to_n_10():
+    # every class with n <= 8, and every class with n = 9 or 10 of at most
+    # 5,000 elements (the ones with many fixed points, where the walk prunes
+    # most; all of S_10 is 10! elements): exactly class_size elements, each
+    # of the right cycle type, strictly increasing, so distinct
+    for n in range(1, 11):
+        for mu in partition_list(n):
+            if n > 8 and class_size(mu) > 5000:
+                continue
+            members = list(conjugacy_class(mu))
+            assert len(members) == class_size(mu), mu
+            assert all(a < b for a, b in zip(members, members[1:])), mu
+            assert all(cycle_type(pi) == mu for pi in members), mu
+
+
 def test_conjugacy_class_validates_when_called():
     # bad input raises at the call, before anything is iterated
     for bad in [(2, 3), (), (0,), (2, -1), (1.5,)]:
