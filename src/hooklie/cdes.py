@@ -402,10 +402,9 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
     sum over nonempty I inside J of (-1)^(|J|-|I|) times the Kostka
     pairing of the expansion with the cyclic composition of I.
 
-    J must be a proper nonempty subset of [n].
+    J must be a proper nonempty subset of [n], and mu a class type.
     """
-    mu = tuple(mu)
-    n = sum(mu)
+    n = sum(check_class_type(mu))
     if not 0 < mask < full_mask(n):
         raise ValueError("J must be a proper nonempty subset of [n]")
     jbits = bin(mask).count("1")
@@ -432,9 +431,9 @@ def straight_ribbon_fiber(mu, mask: int) -> int:
     expansion: sum over lam of the multiplicity of chi^lam times the
     number of standard tableaux of shape lam with descent set J.
 
-    J must be a subset of [n-1].
+    J must be a subset of [n-1], and mu a class type.
     """
-    mu = tuple(mu)
+    mu = check_class_type(mu)
     n = sum(mu)
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")

@@ -9,17 +9,18 @@ It is expanded once per class in a sparse power-sum algebra over Fraction
 and kept scaled to integers: a common denominator den and the numerators
 c_nu = den [p_nu] ch psi^mu (_frobenius).  No group element is enumerated.
 
-Every quantity is one exact pairing of that expansion with a column of
-values in nu, divided by den and checked to be an integer:
+Every other quantity is one exact pairing of that expansion with a column
+of values in nu, divided by den and checked to be an integer:
   higher_lie_character  psi^mu(nu) = z_nu [p_nu] ch psi^mu;
   schur_multiplicities  <psi^mu, chi^lam> = sum_nu [p_nu] ch psi^mu chi^lam(nu);
-  hook_mults_oracle     the same pairing with the hooks (n-k, 1^k), read
-                        off one polynomial in t per nu;
   h_pairings            <ch psi^mu, h_lam> = sum_nu [p_nu] ch psi^mu R(nu, lam),
-                        which counts the class elements by descent set
-                        (Gessel-Reutenauer), from the rows R(nu, .) built
-                        once per n on one memo table of R shared by every
-                        class.
+                        the class elements counted by descent set
+                        (Gessel-Reutenauer), with the rows R(nu, .) built
+                        once per n on one memo table shared by every class.
+The hooks (hook_mults_oracle) read no power-sum coefficient.  The ring map
+phi: p_d -> 1 - (-t)^d sends s_lam to t^k (1 + t) on the hook (n-k, 1^k)
+and to 0 off the hooks, so phi(ch psi^mu) = (1 + t) sum_k m_k t^k, one
+product of polynomials in t over the part sizes of mu (_hook_factor).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .combinat import (
     moebius,
     partition_list,
 )
+from .series import IntPolynomial
 
 __all__ = [
     "character_value",
@@ -138,16 +140,12 @@ def _h_plethysm(k: int, f: PowerSum) -> PowerSum:
     return {key: c for key, c in total.items() if c}
 
 
-# ch psi^mu scaled to integers: the common denominator den of its power-sum
-# coefficients and the pairs (nu, den [p_nu] ch psi^mu), nonzero ones only.
-Scaled = Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]
-
-
 @lru_cache(maxsize=None)
-def _frobenius(mu: Tuple[int, ...]) -> Scaled:
+def _frobenius(mu: Tuple[int, ...]) -> Tuple[int, tuple]:
     """ch psi^mu = prod over part sizes i of h_(k_i)[Lie_i] (Thrall), with
-    k_i the number of parts i of mu, as (den, ((nu, c_nu), ...)) with
-    c_nu = den [p_nu] ch psi^mu.  The one memo every pairing reads."""
+    k_i the number of parts i of mu, scaled to integers: (den, ((nu, c_nu),
+    ...)) with den the least common denominator and c_nu = den [p_nu] ch
+    psi^mu, nonzero ones only.  The one memo every pairing reads."""
     ch: PowerSum = {(): Fraction(1)}
     for i in sorted(set(mu)):
         ch = _ps_mul(ch, _h_plethysm(mu.count(i), _lie_ps(i)))
@@ -201,44 +199,43 @@ def schur_multiplicities(mu) -> Dict[Tuple[int, ...], int]:
     }
 
 
-def hook_mults_oracle(mu) -> tuple[int, ...]:
-    """Hook constituents (m_0, ..., m_(n-1)) of the higher Lie character
-    of mu: m_k = <psi^mu, chi^(n-k,1^k)> = sum over nu of
-    [p_nu] ch psi^mu * chi^(n-k,1^k)(nu).
+def _divide(f: IntPolynomial, q: IntPolynomial, what: str) -> IntPolynomial:
+    h = f.divide_exact(q)
+    if h is None:
+        raise ArithmeticError(f"{what} is not divisible by {q.pretty('t')}")
+    return h
 
-    The sum runs over the nonzero coefficients of ch psi^mu only, with the
-    hook values from sum_k chi^(n-k,1^k)(nu) t^k = prod_j (1 - (-t)^nu_j)
-    / (1 + t).  The cost follows the number of those coefficients: 1,292
-    for (40^8), but all p(n) partitions of n for the identity class (1^n).
-    """
+
+@lru_cache(maxsize=None)
+def _hook_factor(i: int, k: int) -> IntPolynomial:
+    """phi(h_k[Lie_i]) by Newton's identity k h_k[g] = sum over m = 1..k of
+    p_m[g] h_(k-m)[g], with phi(p_m[Lie_i]) = (1/i) sum over d | i of
+    moebius(d) (1 - (-t)^(md))^(i/d); both divisions are checked exact."""
+    if k == 0:
+        return IntPolynomial((1,))
+    total = IntPolynomial()
+    for m in range(k, 0, -1):  # h_(k-m) ascends: each is memoized, no deep recursion
+        adams = IntPolynomial()
+        for d in filter(moebius, divisors(i)):
+            step = IntPolynomial((1, (-1) ** (m * d + 1))) ** (i // d)
+            adams = adams + step.substitute_power(m * d) * moebius(d)
+        adams = _divide(adams, IntPolynomial((i,)), f"phi(p_{m}[Lie_{i}])")
+        total = total + adams * _hook_factor(i, k - m)
+    return _divide(total, IntPolynomial((k,)), f"phi(h_{k}[Lie_{i}])")
+
+
+def hook_mults_oracle(mu) -> tuple[int, ...]:
+    """Hook constituents (m_0, ..., m_(n-1)), m_k = <psi^mu, chi^(n-k,1^k)>,
+    of the higher Lie character of mu, from (1 + t) sum_k m_k t^k = prod over
+    part sizes i of phi(h_(k_i)[Lie_i]) (Thrall).  An inexact division or an
+    m_k < 0 raises ArithmeticError."""
     mu = check_class_type(mu)
-    n = sum(mu)
-    den, terms = _frobenius(mu)
-    # (1 + t) * sum_k m_k t^k, scaled by den to stay in the integers
-    acc = [0] * (n + 1)
-    for nu, c in terms:
-        poly = [c]
-        for part in sorted(set(nu)):
-            mult = nu.count(part)
-            step = 1 if part % 2 else -1  # 1 - (-t)^part = 1 + step * t^part
-            factor = [math.comb(mult, j) * step**j for j in range(mult + 1)]
-            prod = [0] * (len(poly) + part * mult)
-            for i, v in enumerate(poly):
-                if v:
-                    for j, b in enumerate(factor):
-                        prod[i + part * j] += b * v
-            poly = prod
-        for i, v in enumerate(poly):
-            acc[i] += v
-    out = []
-    prev = 0
-    for k in range(n):
-        cur = acc[k] - prev
-        out.append(_count(cur, den, "hook multiplicity k=%d of psi^%s", k, mu))
-        prev = cur
-    if acc[n] != prev:
-        raise ArithmeticError(f"hook expansion of psi^{mu} is not divisible by 1+t")
-    return tuple(out)
+    factors = (_hook_factor(i, mu.count(i)) for i in set(mu))
+    image = math.prod(factors, start=IntPolynomial((1,)))
+    m = _divide(image, IntPolynomial((1, 1)), f"phi(ch psi^{mu})").coeffs
+    if any(v < 0 for v in m):
+        raise ArithmeticError(f"hook multiplicities of psi^{mu} are {m}, not counts")
+    return m + (0,) * (sum(mu) - len(m))
 
 
 # -- Gessel-Reutenauer pairings ----------------------------------------------
@@ -318,3 +315,4 @@ def clear_memo() -> None:
     _R_MEMO.clear()
     _r_rows.cache_clear()
     _frobenius.cache_clear()
+    _hook_factor.cache_clear()

@@ -11,7 +11,9 @@ multiplicities, the series, the square-divisibility checks and the hook
 profile); it is rebuilt only when a caller asks for a larger s than it
 holds.  The Witt coefficients are cross-checked against the generic
 Witt transform at every r; the hook multiplicities of every rectangle
-against the character oracle.
+against the character oracle, characters.hook_mults_oracle, which reads
+them off the specialization p_d -> 1 - (-t)^d of Thrall's plethysm and
+shares only divisors, moebius and IntPolynomial with the closed formula.
 """
 
 from __future__ import annotations
@@ -229,7 +231,9 @@ def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
     an extension exists iff every d_k is non-negative and the full
     alternating sum d_(n-1) vanishes.  Rectangular classes go through
     the closed formula, cross-checked against the character oracle;
-    everything else through the oracle.
+    everything else through the oracle.  The oracle is one product of
+    polynomials in t per part size, polynomial in n, so every class is
+    cross-checked or decided with no size gate.
     """
     mu = check_class_type(mu)
     rect = _rectangle(mu)

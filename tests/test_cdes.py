@@ -555,3 +555,16 @@ def test_straight_fibers_match_brute_force():
 def test_straight_fiber_rejects_out_of_range_mask():
     with pytest.raises(ValueError):
         straight_ribbon_fiber((2, 2), 1 << 3)
+
+
+def test_ribbon_fibers_reject_non_class_types():
+    # a class type is a partition of n >= 1: no increasing parts, no zero
+    # part, not empty; each is refused before the mask is read
+    with pytest.raises(ValueError, match="not a partition"):
+        affine_ribbon_fiber((1, 2), 1, {})
+    with pytest.raises(ValueError, match="not a partition"):
+        affine_ribbon_fiber((0, 3), 1, {(3,): 1})
+    with pytest.raises(ValueError, match="not a partition"):
+        straight_ribbon_fiber((), 0)
+    with pytest.raises(ValueError, match="not a partition"):
+        straight_ribbon_fiber((1, 2), 0)

@@ -31,6 +31,7 @@ from hooklie.combinat import (
     partition_list,
     standard_tableaux,
 )
+from hooklie.series import IntPolynomial
 
 
 # -- Murnaghan-Nakayama values -----------------------------------------------
@@ -207,13 +208,23 @@ def test_hook_mults_oracle_rectangle_4_4():
 
 
 def test_hook_mults_oracle_matches_schur_expansion():
-    # the oracle's sparse hook projection against the Schur multiplicities
-    # of the hooks (n-k, 1^k), which pair with the whole character table
-    for n in range(1, 9):
+    # the oracle's specialization of Thrall's product against the power-sum
+    # expansion paired with the Murnaghan-Nakayama values of the n hooks,
+    # sum over nu of c_nu chi^(n-k,1^k)(nu) / den: the two routes share no
+    # code, on every class with n <= 14
+    checked = 0
+    for n in range(1, 15):
         for mu in partition_list(n):
-            mults = schur_multiplicities(mu)
-            hooks = tuple(mults[(n - k,) + (1,) * k] for k in range(n))
-            assert hook_mults_oracle(mu) == hooks, mu
+            den, terms = characters._frobenius(mu)
+            hooks = []
+            for k in range(n):
+                hook = (n - k,) + (1,) * k
+                acc = sum(c * character_value(hook, nu) for nu, c in terms)
+                assert acc % den == 0, (mu, k)
+                hooks.append(acc // den)
+            assert hook_mults_oracle(mu) == tuple(hooks), mu
+            checked += 1
+    assert checked == 507
 
 
 # -- Gessel-Reutenauer pairings ----------------------------------------------
@@ -244,12 +255,12 @@ def test_h_pairings_refuse_non_counts(monkeypatch):
     # a doctored expansion, in _frobenius's scaled form (den, ((nu, c), ...)):
     # ch = p_1^2 / 3 gives 1/3 and 2/3 where integers are due
     monkeypatch.setattr(characters, "_frobenius", lambda mu: (3, (((1, 1), 1),)))
-    for reader in (h_pairings, schur_multiplicities, hook_mults_oracle, higher_lie_character):
+    for reader in (h_pairings, schur_multiplicities, higher_lie_character):
         with pytest.raises(ArithmeticError):
             reader((1, 1))
     # ch = -p_1^2 gives integral values, but negative counts
     monkeypatch.setattr(characters, "_frobenius", lambda mu: (1, (((1, 1), -1),)))
-    for reader in (h_pairings, schur_multiplicities, hook_mults_oracle):
+    for reader in (h_pairings, schur_multiplicities):
         with pytest.raises(ArithmeticError):
             reader((1, 1))
     assert higher_lie_character((1, 1)) == {(2,): 0, (1, 1): -2}
@@ -263,3 +274,47 @@ def test_frobenius_is_scaled_to_lowest_integers():
             den, terms = characters._frobenius(mu)
             assert den >= 1 and math.gcd(den, *(c for _, c in terms)) == 1
             assert all(c and is_partition(nu) and sum(nu) == n for nu, c in terms)
+
+
+@pytest.fixture
+def fresh_memo():
+    # the doctored runs below fill the hook memo with wrong factors
+    characters.clear_memo()
+    yield
+    characters.clear_memo()
+
+
+def test_hook_oracle_refuses_inexact_division_by_i(fresh_memo, monkeypatch):
+    # divisors(2) = (1,) leaves phi(p_1[Lie_2]) = (1 + t)^2 / 2
+    monkeypatch.setattr(characters, "divisors", lambda i: (1,))
+    with pytest.raises(ArithmeticError, match=r"p_1\[Lie_2\]\) is not divisible by 2"):
+        hook_mults_oracle((2,))
+
+
+def test_hook_oracle_refuses_inexact_division_by_j(fresh_memo, monkeypatch):
+    # no doctored moebius or divisors is known that passes the division by i
+    # and fails this one, so the memoized phi(h_1[Lie_1]) = 1 + t is doctored
+    # to 1: Newton's step gives 2 phi(h_2[Lie_1]) = (1 + t) + (1 - t^2)
+    real = characters._hook_factor
+    one = IntPolynomial((1,))
+    monkeypatch.setattr(
+        characters, "_hook_factor", lambda i, k: one if k == 1 else real(i, k)
+    )
+    with pytest.raises(ArithmeticError, match=r"h_2\[Lie_1\]\) is not divisible by 2"):
+        hook_mults_oracle((1, 1))
+
+
+def test_hook_oracle_refuses_inexact_division_by_1_plus_t(fresh_memo, monkeypatch):
+    # divisors(1) = (1, 2) adds moebius(2) (1 - t^2)^0 = -1 to Lie_1, so
+    # phi(ch psi^(1)) = t, which 1 + t does not divide
+    monkeypatch.setattr(characters, "divisors", lambda i: (1, 2))
+    with pytest.raises(ArithmeticError, match=r"\(1,\)\) is not divisible by 1 \+ t"):
+        hook_mults_oracle((1,))
+
+
+def test_hook_oracle_refuses_negative_multiplicities(fresh_memo, monkeypatch):
+    # moebius negated: -Lie_2 = -e_2, whose one hook constituent is -1
+    real = characters.moebius
+    monkeypatch.setattr(characters, "moebius", lambda d: -real(d))
+    with pytest.raises(ArithmeticError, match=r"are \(0, -1\), not counts"):
+        hook_mults_oracle((2,))

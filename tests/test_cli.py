@@ -246,6 +246,23 @@ def test_witt_json_bytes_are_pinned(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of `hooklie hooks <r> <s> --format json` as the
+# power-sum projection of the hook oracle wrote it; the specialization of
+# Thrall's product must keep every byte.
+HOOKS_DIGESTS = {
+    "1 40": "a5c6cc235b028297760280a0780e754883324575f0539cd7ddc3c88eaa7c7c7c",
+    "40 8": "02d0145e92867eed0707e42e568763a1d55b90d87d69fdc8b828f5d18786708c",
+    "2 20": "187f4c4dbcc863b8257ac660cea5724d33b420ef911b5e7e53eb1aca9daa7cef",
+}
+
+
+@pytest.mark.parametrize("args", sorted(HOOKS_DIGESTS))
+def test_hooks_json_bytes_are_pinned(args, capsys):
+    code, out, _ = run(["hooks", *args.split(), "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HOOKS_DIGESTS[args]
+
+
 def test_json_reports_are_deterministic(capsys):
     _, doc1, _ = run_json(["verify", "cellini"], capsys)
     _, doc2, _ = run_json(["verify", "cellini"], capsys)

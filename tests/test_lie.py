@@ -118,20 +118,21 @@ def test_column_row_equals_adjacent_hook_sums():
 
 
 def test_hook_mults_match_character_oracle():
-    # the closed formula against the induced character from the plethysm
-    for r in range(1, 13):
-        for s in range(1, 13):
-            if r * s > 12:
+    # the closed formula against the hooks of the induced character, read
+    # off the specialization of Thrall's product, on every rs <= 40
+    for r in range(1, 41):
+        for s in range(1, 41):
+            if r * s > 40:
                 continue
             mu = (r,) * s
             assert hook_mults(r, s) == hook_mults_oracle(mu)
 
 
 def test_hook_mults_match_oracle_one_column():
-    # (1^12): the induced character is trivial, so only m_0 = 1 survives;
-    # its centralizer is all of S_12
-    assert hook_mults(1, 12) == (1,) + (0,) * 11
-    assert hook_mults_oracle((1,) * 12) == (1,) + (0,) * 11
+    # (1^60): the induced character is trivial, so only m_0 = 1 survives;
+    # its centralizer is all of S_60
+    assert hook_mults(1, 60) == (1,) + (0,) * 59
+    assert hook_mults_oracle((1,) * 60) == (1,) + (0,) * 59
 
 
 def test_hook_mults_nonnegative_and_double_count():
@@ -274,7 +275,7 @@ def test_certificate_cross_checks_every_rectangle(monkeypatch):
 
 def test_certificate_reaches_large_rectangles():
     # the oracle cross-check is cheap far beyond any enumerable centralizer
-    for r, s in [(100, 1), (40, 4), (6, 6)]:
+    for r, s in [(100, 1), (40, 4), (6, 6), (1, 60), (2, 30), (40, 8)]:
         cert = extension_certificate((r,) * s)
         assert isinstance(cert, NoExtension) == is_squarefree(r)
 
