@@ -35,11 +35,20 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import lt, ne, sub
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from . import characters
 from .combinat import (
@@ -80,8 +89,7 @@ __all__ = [
 WALK_LIMIT = class_size((9, 1))
 
 
-@dataclass(frozen=True)
-class DescentDistribution:
+class DescentDistribution(NamedTuple):
     """Des-fiber sizes of a conjugacy class, keyed by subset mask of
     [n-1]; only the nonzero fibers are stored."""
 
@@ -92,8 +100,7 @@ class DescentDistribution:
         return self.fibers.get(mask, 0)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """No cyclic extension exists; reason names the violated constraint."""
 
     reason: str
@@ -101,8 +108,7 @@ class Infeasible:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class FiberSolution:
+class FiberSolution(NamedTuple):
     """The unique consistent cDes-fiber sizes c_J (nonzero entries only)."""
 
     n: int
@@ -112,19 +118,19 @@ class FiberSolution:
         return self.counts.get(mask, 0)
 
 
-@dataclass(frozen=True)
-class CyclicExtensionSolution:
+class CyclicExtensionSolution(NamedTuple):
     """An explicit cyclic extension: fiber sizes, the cDes of every class
     element, and the rotation-equivariant bijection p.  axioms holds the
     results of the exhaustive check_axioms run that construct_extension
-    made before returning it (empty for a solution built elsewhere)."""
+    made before returning it (an empty read-only mapping for a solution
+    built elsewhere)."""
 
     mu: Tuple[int, ...]
     n: int
     fibers: FiberSolution
     cdes: Dict[Tuple[int, ...], int]
     p_map: Dict[Tuple[int, ...], Tuple[int, ...]]
-    axioms: Dict[str, bool] = field(default_factory=dict)
+    axioms: Mapping[str, bool] = MappingProxyType({})
 
 
 def _check_subsets(n: int) -> None:
@@ -341,7 +347,7 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         raise AssertionError(f"constructed extension violates {failed} on {mu}")
-    return replace(result, axioms=checks)
+    return result._replace(axioms=checks)
 
 
 def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:

@@ -5,9 +5,15 @@ process-lifetime memo table; no value is read from a file.  Higher Lie
 characters come from Thrall's plethysm: the Frobenius image of psi^mu is
 the product over part sizes i of h_(k_i)[Lie_i], with k_i the number of
 parts i of mu and Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d).
-It is expanded once per class in a sparse power-sum algebra over Fraction
-and kept scaled to integers: a common denominator den and the numerators
-c_nu = den [p_nu] ch psi^mu (_frobenius).  No group element is enumerated.
+It is expanded once per class in a sparse power-sum algebra over the
+integers, each factor scaled by k_i! i^(k_i): i Lie_i has integer
+coefficients, and k! i^k h_k[Lie_i] = sum over lam |- k of (k!/z_lam)
+i^(k - l(lam)) prod_j p_(lam_j)[i Lie_i].  The product of the scaled
+factors is z_mu ch psi^mu, so _frobenius keeps den = z_mu and the integer
+numerators c_nu = den [p_nu] ch psi^mu.  z_mu is the least common
+denominator: psi^mu is induced from a linear character of the centralizer,
+whose order is z_mu, and [p_(1^n)] ch psi^mu = 1/z_mu.  No group element
+is enumerated and no fraction is formed.
 
 Every other quantity is one exact pairing of that expansion with a column
 of values in nu, divided by den and checked to be an integer:
@@ -26,7 +32,6 @@ product of polynomials in t over the part sizes of mu (_hook_factor).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
@@ -102,12 +107,12 @@ def _mn(lam: tuple, mu: tuple) -> int:
 # -- higher Lie characters ---------------------------------------------------
 
 # Symmetric functions of degree n in the power-sum basis: a dict from a
-# partition nu to the coefficient of p_nu, nonzero coefficients only.
-PowerSum = Dict[Tuple[int, ...], Fraction]
+# partition nu to the integer coefficient of p_nu, nonzero coefficients only.
+PowerSum = Dict[Tuple[int, ...], int]
 
 
 def _ps_mul(f: PowerSum, g: PowerSum) -> PowerSum:
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    out: PowerSum = {}
     for a, ca in f.items():
         for b, cb in g.items():
             key = tuple(sorted(a + b, reverse=True))
@@ -121,18 +126,20 @@ def _ps_adams(m: int, f: PowerSum) -> PowerSum:
 
 
 def _lie_ps(i: int) -> PowerSum:
-    """Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d)."""
-    return {
-        (d,) * (i // d): Fraction(moebius(d), i) for d in divisors(i) if moebius(d)
-    }
+    """i Lie_i = sum over d | i of moebius(d) p_d^(i/d)."""
+    return {(d,) * (i // d): moebius(d) for d in divisors(i) if moebius(d)}
 
 
-def _h_plethysm(k: int, f: PowerSum) -> PowerSum:
-    """h_k[f] = sum over lam |- k of z_lam^-1 prod_j p_(lam_j)[f]."""
-    adams = {m: _ps_adams(m, f) for m in range(1, k + 1)}
-    total: Dict[Tuple[int, ...], Fraction] = {}
+def _h_plethysm(k: int, i: int) -> PowerSum:
+    """k! i^k h_k[Lie_i] = sum over lam |- k of (k!/z_lam) i^(k - l(lam))
+    prod_j p_(lam_j)[i Lie_i], since p_m[Lie_i] = p_m[i Lie_i] / i; k!/z_lam
+    is the size of the class lam, an integer."""
+    lie = _lie_ps(i)
+    adams = {m: _ps_adams(m, lie) for m in range(1, k + 1)}
+    k_factorial = math.factorial(k)
+    total: PowerSum = {}
     for lam in partition_list(k):
-        term: PowerSum = {(): Fraction(1, centralizer_order(lam))}
+        term = {(): k_factorial // centralizer_order(lam) * i ** (k - len(lam))}
         for part in lam:
             term = _ps_mul(term, adams[part])
         for key, c in term.items():
@@ -143,21 +150,26 @@ def _h_plethysm(k: int, f: PowerSum) -> PowerSum:
 @lru_cache(maxsize=None)
 def _frobenius(mu: Tuple[int, ...]) -> Tuple[int, tuple]:
     """ch psi^mu = prod over part sizes i of h_(k_i)[Lie_i] (Thrall), with
-    k_i the number of parts i of mu, scaled to integers: (den, ((nu, c_nu),
-    ...)) with den the least common denominator and c_nu = den [p_nu] ch
-    psi^mu, nonzero ones only.  The one memo every pairing reads."""
-    ch: PowerSum = {(): Fraction(1)}
+    k_i the number of parts i of mu, scaled to integers: (z_mu, ((nu, c_nu),
+    ...)) with c_nu = z_mu [p_nu] ch psi^mu, nonzero ones only.  Since
+    z_mu = prod over i of k_i! i^(k_i), the product of the factors
+    _h_plethysm(k_i, i) is z_mu ch psi^mu; z_mu is its least common
+    denominator, as [p_(1^n)] ch psi^mu = 1/z_mu.  The one memo every
+    pairing reads."""
+    ch: PowerSum = {(): 1}
     for i in sorted(set(mu)):
-        ch = _ps_mul(ch, _h_plethysm(mu.count(i), _lie_ps(i)))
-    den = math.lcm(*(c.denominator for c in ch.values()))
-    return den, tuple((nu, c.numerator * (den // c.denominator)) for nu, c in ch.items())
+        ch = _ps_mul(ch, _h_plethysm(mu.count(i), i))
+    return centralizer_order(mu), tuple(ch.items())
 
 
 def _count(acc: int, den: int, what: str, *args) -> int:
     """acc / den, refused with ArithmeticError unless an integer >= 0; the
-    message names the quantity as what % args, formatted only then."""
+    message names the quantity as what % args and its value as a reduced
+    fraction, formatted only then."""
     if acc % den or acc < 0:
-        raise ArithmeticError(f"{what % args} is {Fraction(acc, den)}, not a count")
+        g = math.gcd(acc, den)
+        value = f"{acc // g}" if g == den else f"{acc // g}/{den // g}"
+        raise ArithmeticError(f"{what % args} is {value}, not a count")
     return acc // den
 
 
@@ -207,20 +219,32 @@ def _divide(f: IntPolynomial, q: IntPolynomial, what: str) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _adams_factor(i: int, m: int) -> IntPolynomial:
+    """phi(p_m[Lie_i]), once per (i, m).  At m = 1 it is phi(Lie_i) = (1/i)
+    sum over d | i of moebius(d) (1 - (-t)^d)^(i/d), the division checked
+    exact; p_m[.] sends each p_d to p_(md), which under phi is t -> -(-t)^m,
+    so every other m twists the signs of phi(Lie_i) and substitutes t^m."""
+    if m > 1:
+        sign = 1 if m % 2 else -1
+        lie = _adams_factor(i, 1).coeffs
+        return IntPolynomial(c * sign**j for j, c in enumerate(lie)).substitute_power(m)
+    total = IntPolynomial()
+    for d in filter(moebius, divisors(i)):
+        step = IntPolynomial((1, (-1) ** (d + 1))) ** (i // d)
+        total = total + step.substitute_power(d) * moebius(d)
+    return _divide(total, IntPolynomial((i,)), f"phi(p_1[Lie_{i}])")
+
+
+@lru_cache(maxsize=None)
 def _hook_factor(i: int, k: int) -> IntPolynomial:
     """phi(h_k[Lie_i]) by Newton's identity k h_k[g] = sum over m = 1..k of
-    p_m[g] h_(k-m)[g], with phi(p_m[Lie_i]) = (1/i) sum over d | i of
-    moebius(d) (1 - (-t)^(md))^(i/d); both divisions are checked exact."""
+    p_m[g] h_(k-m)[g], with phi(p_m[Lie_i]) from _adams_factor; the
+    division by k is checked exact."""
     if k == 0:
         return IntPolynomial((1,))
     total = IntPolynomial()
     for m in range(k, 0, -1):  # h_(k-m) ascends: each is memoized, no deep recursion
-        adams = IntPolynomial()
-        for d in filter(moebius, divisors(i)):
-            step = IntPolynomial((1, (-1) ** (m * d + 1))) ** (i // d)
-            adams = adams + step.substitute_power(m * d) * moebius(d)
-        adams = _divide(adams, IntPolynomial((i,)), f"phi(p_{m}[Lie_{i}])")
-        total = total + adams * _hook_factor(i, k - m)
+        total = total + _adams_factor(i, m) * _hook_factor(i, k - m)
     return _divide(total, IntPolynomial((k,)), f"phi(h_{k}[Lie_{i}])")
 
 
@@ -315,4 +339,5 @@ def clear_memo() -> None:
     _R_MEMO.clear()
     _r_rows.cache_clear()
     _frobenius.cache_clear()
+    _adams_factor.cache_clear()
     _hook_factor.cache_clear()

@@ -15,12 +15,10 @@ the 2^n_max subsets of its largest n).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 from . import cdes, characters, lie
@@ -39,12 +37,12 @@ DEFAULT_S_MAX = 5
 UNIMODALITY_S_MAX = 8
 
 
-@dataclass
 class Report:
-    command: str
-    parameters: dict
-    payload: dict
-    assertions: List[dict] = field(default_factory=list)
+    def __init__(self, command: str, parameters: dict, payload: dict):
+        self.command = command
+        self.parameters = parameters
+        self.payload = payload
+        self.assertions: List[dict] = []
 
     @property
     def passed(self) -> bool:
@@ -100,6 +98,8 @@ def _flatten(prefix: str, value, rows: list) -> None:
 
 
 def render_csv(report: Report) -> str:
+    import csv  # only this renderer needs it; kept off the start-up path
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["field", "value"])

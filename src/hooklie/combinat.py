@@ -13,9 +13,8 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "moebius",
@@ -350,8 +349,7 @@ def mask_from_elements(elems) -> int:
 # -- tableaux ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     """Rows of entries, top row first; lower rows have larger index."""
 
     rows: tuple[tuple[int, ...], ...]

@@ -19,10 +19,9 @@ shares only divisors, moebius and IntPolynomial with the closed formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import characters
 from .combinat import check_class_type, divisors, is_squarefree, moebius
@@ -45,17 +44,41 @@ __all__ = [
     "subset_sum_count",
 ]
 
-@dataclass(frozen=True)
+
 class NoExtension:
     """Why a class admits no cyclic descent extension.
 
     reason is "alternating-sum-nonzero" (the full alternating sum of the
     hook multiplicities is not zero) or "negative-partial-sum" (some
     partial alternating sum d_k is negative, with k in `index`).
+
+    Immutable, and deliberately not a tuple: extension_certificate returns
+    either a tuple (the certificate) or a NoExtension, and callers tell
+    them apart with isinstance(cert, tuple).
     """
 
-    reason: str
-    index: Optional[int] = None
+    __slots__ = ("reason", "index")
+
+    def __init__(self, reason: str, index: Optional[int] = None):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NoExtension is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NoExtension is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.reason, self.index) == (other.reason, other.index)
+
+    def __hash__(self) -> int:
+        return hash((self.reason, self.index))
+
+    def __repr__(self) -> str:
+        return f"NoExtension(reason={self.reason!r}, index={self.index!r})"
 
 
 @lru_cache(maxsize=None)
@@ -249,8 +272,7 @@ def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
     return _certificate_from_mults(m)
 
 
-@dataclass(frozen=True)
-class SquarefreeReport:
+class SquarefreeReport(NamedTuple):
     """Divisibility of each y-coefficient of the generating series by
     (1+x)^2, plus the first-moment identity of the Witt coefficients."""
 
@@ -282,8 +304,7 @@ def squarefree_criterion(r: int, s_max: int) -> SquarefreeReport:
     return SquarefreeReport(r, s_max, is_squarefree(r), divisible, moment)
 
 
-@dataclass(frozen=True)
-class SquareQuotient:
+class SquareQuotient(NamedTuple):
     """(series - 1) / (1+x)^2 and the polynomial quotient of the Witt
     polynomial by (1+x)^2, both with non-negative coefficients."""
 
@@ -321,8 +342,7 @@ def quotient_series(r: int, s_max: int) -> Optional[SquareQuotient]:
     return SquareQuotient(BiSeries(s_max, polys), g)
 
 
-@dataclass(frozen=True)
-class HookProfile:
+class HookProfile(NamedTuple):
     """Everything the closed formulas say about the class (r^s)."""
 
     r: int

@@ -7,6 +7,13 @@ a cyclotomic polynomial.  It shares no code with the plethysm route in
 hooklie.characters.  The cost is the centralizer order, so use it on small
 centralizers only.
 
+frobenius_over_fractions expands Thrall's product ch psi^mu = prod over
+part sizes i of h_(k_i)[Lie_i] over Fraction, with h_k[f] summed over the
+partitions of k with weights 1/z_lam, and scales it by the least common
+denominator of its coefficients; it is the reference for the integer
+expansion of hooklie.characters._frobenius, which takes z_mu as that
+denominator without computing one.
+
 descent_distribution_by_enumeration walks the conjugacy class and counts
 each descent set; it is the reference for the Gessel-Reutenauer route of
 hooklie.cdes.descent_distribution, and costs the class size.
@@ -29,9 +36,10 @@ assembles the Witt transform from them alone.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Dict
+from typing import Dict, Tuple
 
 from hooklie.cdes import DescentDistribution, FiberSolution, Infeasible
 from hooklie.combinat import (
@@ -153,6 +161,37 @@ def higher_lie_by_enumeration(mu) -> Dict[tuple, int]:
             raise ArithmeticError(f"non-integral induced value at {ctype}")
         values[ctype] = num // z
     return values
+
+
+def _fraction_ps_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            key = tuple(sorted(a + b, reverse=True))
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def frobenius_over_fractions(mu) -> Tuple[int, Dict[tuple, int]]:
+    """(den, {nu: den [p_nu] ch psi^mu}) over the nonzero coefficients, with
+    den the least common denominator, from Thrall's product over Fraction:
+    Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d), and h_k[f] = sum
+    over lam |- k of (1/z_lam) prod_j p_(lam_j)[f]."""
+    mu = tuple(mu)
+    ch = {(): Fraction(1)}
+    for i in sorted(set(mu)):
+        lie = {(d,) * (i // d): Fraction(moebius(d), i) for d in divisors(i)}
+        h: dict = {}
+        for lam in partition_list(mu.count(i)):
+            term = {(): Fraction(1, centralizer_order(lam))}
+            for part in lam:
+                adams = {tuple(part * d for d in key): c for key, c in lie.items()}
+                term = _fraction_ps_mul(term, adams)
+            for key, c in term.items():
+                h[key] = h.get(key, 0) + c
+        ch = _fraction_ps_mul(ch, {key: c for key, c in h.items() if c})
+    den = math.lcm(*(c.denominator for c in ch.values()))
+    return den, {nu: c.numerator * (den // c.denominator) for nu, c in ch.items()}
 
 
 def descent_distribution_by_enumeration(mu) -> DescentDistribution:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import higher_lie_by_enumeration
+from brute_force import frobenius_over_fractions, higher_lie_by_enumeration
 
 from hooklie import characters
 from hooklie.characters import (
@@ -27,7 +27,9 @@ from hooklie.characters import (
 from hooklie.combinat import (
     centralizer_order,
     class_size,
+    divisors,
     is_partition,
+    moebius,
     partition_list,
     standard_tableaux,
 )
@@ -276,6 +278,30 @@ def test_frobenius_is_scaled_to_lowest_integers():
             assert all(c and is_partition(nu) and sum(nu) == n for nu, c in terms)
 
 
+def test_frobenius_matches_fraction_expansion():
+    # the integer expansion over den = z_mu against Thrall's product over
+    # Fraction scaled by its least common denominator: the same den and the
+    # same numerators, on every class with n <= 12
+    checked = 0
+    for n in range(1, 13):
+        for mu in partition_list(n):
+            den, terms = characters._frobenius(mu)
+            assert den == centralizer_order(mu), mu
+            assert (den, dict(terms)) == frobenius_over_fractions(mu), mu
+            checked += 1
+    assert checked == 271
+
+
+def test_count_message_reduces_the_fraction(monkeypatch):
+    # ch = p_1^2 / 3 stored as 2 p_1^2 over den 6: <ch, h_(2)> = 2/6 = 1/3
+    monkeypatch.setattr(characters, "_frobenius", lambda mu: (6, (((1, 1), 2),)))
+    with pytest.raises(ArithmeticError, match=r"h_\(2,\)> is 1/3, not a count"):
+        h_pairings((1, 1))
+    monkeypatch.setattr(characters, "_frobenius", lambda mu: (2, (((1, 1), -2),)))
+    with pytest.raises(ArithmeticError, match=r"h_\(2,\)> is -1, not a count"):
+        h_pairings((1, 1))
+
+
 @pytest.fixture
 def fresh_memo():
     # the doctored runs below fill the hook memo with wrong factors
@@ -318,3 +344,19 @@ def test_hook_oracle_refuses_negative_multiplicities(fresh_memo, monkeypatch):
     monkeypatch.setattr(characters, "moebius", lambda d: -real(d))
     with pytest.raises(ArithmeticError, match=r"are \(0, -1\), not counts"):
         hook_mults_oracle((2,))
+
+
+def test_adams_factors_are_built_once_per_part_count(fresh_memo):
+    # phi(p_m[Lie_i]) read off phi(Lie_i) under t -> -(-t)^m equals the
+    # direct (1/i) sum over d | i of moebius(d) (1 - (-t)^(md))^(i/d)
+    for i in range(1, 13):
+        for m in range(1, 7):
+            direct = IntPolynomial()
+            for d in divisors(i):
+                step = IntPolynomial((1, -((-1) ** (m * d)))) ** (i // d)
+                direct = direct + step.substitute_power(m * d) * moebius(d)
+            assert characters._adams_factor(i, m) * i == direct, (i, m)
+    # k parts of one size need the k factors m = 1..k, not k(k+1)/2
+    characters.clear_memo()
+    hook_mults_oracle((1,) * 30)
+    assert characters._adams_factor.cache_info().currsize == 30

@@ -445,6 +445,24 @@ def _module_run(args, env_extra=None):
     return proc
 
 
+def test_cold_start_loads_no_heavy_stdlib_module():
+    # every hooklie command starts a fresh interpreter, which pays for each
+    # module the package imports; none of these is needed to start
+    heavy = ("dataclasses", "fractions", "decimal", "inspect", "csv")
+    probe = "import sys, hooklie, hooklie.cli; print(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ),
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "hooklie.cli" in loaded
+    assert [name for name in heavy if name in loaded] == []
+
+
 def _write_tampered_s4_table(path):
     """A well-formed S_4 character table in the versioned, checksummed
     format of the former table cache, with chi^(3,1)(2,1,1) set to 5
