@@ -10,8 +10,12 @@ Enumerating the class is the test oracle (tests/brute_force.py); only
 construct_extension and cellini_closed, which need the elements
 themselves, still walk the class.
 
-Every route refuses, with ValueError before any work, an input on which it
-would walk more than WALK_LIMIT subsets or class elements (check_walk).
+check_walk is the one comparison with WALK_LIMIT: every route, and every
+verify suite of the command line, passes it the number of items it would
+walk (subsets, class elements, or (mask, shape) or (mask, submask) pairs)
+and is refused with ValueError before any work when that is over the limit.
+subset_walk and class_walk give the two counts the routes here need without
+building 2^n or n! for a huge n.
 
 A cyclic extension assigns to every pi in the class a set cDes(pi) with
 cDes(pi) intersect [n-1] = Des(pi), together with a bijection p of the
@@ -68,6 +72,8 @@ from .combinat import (
 __all__ = [
     "WALK_LIMIT",
     "check_walk",
+    "subset_walk",
+    "class_walk",
     "DescentDistribution",
     "Infeasible",
     "FiberSolution",
@@ -133,27 +139,53 @@ class CyclicExtensionSolution(NamedTuple):
     axioms: Mapping[str, bool] = MappingProxyType({})
 
 
-def _check_subsets(n: int) -> None:
-    if 1 << n > WALK_LIMIT:
-        raise ValueError(
-            f"the {1 << n} subsets of [{n}] are over the walk limit of {WALK_LIMIT}"
-        )
+def check_walk(items: int, what: str) -> None:
+    """Refuse, with ValueError, a walk over more than WALK_LIMIT items.  The
+    message names them by what, which says n and never their count or a
+    class type: both can have more digits than Python will print."""
+    if items > WALK_LIMIT:
+        raise ValueError(f"{what} are over the walk limit of {WALK_LIMIT}")
 
 
-def check_walk(mu, elements: bool = False) -> Tuple[int, ...]:
-    """mu as a partition of n >= 1, refused with ValueError if a route would
-    walk more than WALK_LIMIT items on it: the 2^n subsets of [n]
-    (descent_distribution, solve_extension) or, with elements, the class
-    elements (cellini_closed; construct_extension walks both)."""
-    mu = check_class_type(mu)
-    if not elements:
-        _check_subsets(sum(mu))
-    elif class_size(mu) > WALK_LIMIT:
-        raise ValueError(
-            f"class {mu} has {class_size(mu)} elements, over the walk limit of "
-            f"{WALK_LIMIT}"
-        )
-    return mu
+# subset_walk and class_walk saturate at 2^20 > WALK_LIMIT, so check_walk
+# decides on their counts as on the exact ones.
+_COUNT_CAP = 1 << 20
+
+
+def subset_walk(n: int) -> int:
+    """min(2^n, 2^20): the number of subsets of [n], never built for a huge
+    n."""
+    return 1 << n if n < 20 else _COUNT_CAP
+
+
+def class_walk(mu) -> int:
+    """min(size of the class of mu, 2^20), without computing n! for a huge
+    n.
+
+    The size is a product of integer factors >= 1, taken for each part size
+    i, with multiplicity k, in decreasing order of i, with R points left:
+    C(R, ik) places the k cycles of length i, built through the partial
+    binomials C(R - m + j, j), j <= m = min(ik, R - ik), which never
+    decrease; then (it - 1)(it - 2) ... (it - i + 1) for t = 1 .. k cuts
+    those ik points into cycles, each through the smallest point left.  So
+    the first partial product at the cap settles it.
+    """
+    size, rest = 1, sum(mu)
+    for i, k in sorted(Counter(mu).items(), reverse=True):
+        m = min(i * k, rest - i * k)
+        binomial = 1
+        for j in range(1, m + 1):
+            binomial = binomial * (rest - m + j) // j
+            if size * binomial >= _COUNT_CAP:
+                return _COUNT_CAP
+        size *= binomial
+        for t in range(1, k + 1):
+            for u in range(1, i):
+                size *= i * t - u
+                if size >= _COUNT_CAP:
+                    return _COUNT_CAP
+        rest -= i * k
+    return size
 
 
 @lru_cache(maxsize=None)
@@ -187,12 +219,13 @@ def descent_distribution(mu) -> DescentDistribution:
 
     Nothing is enumerated, so the class size does not bound the cost; the
     table has 2^(n-1) entries and solve_extension walks 2^n subsets, so
-    check_walk refuses n >= 19 with ValueError before any work.  A pairing
+    n >= 19 is refused with ValueError before any work.  A pairing
     over the class size, a negative fiber, or fibers that do not sum to the
     class size raise ArithmeticError.
     """
-    mu = check_walk(mu)
+    mu = check_class_type(mu)
     n = sum(mu)
+    check_walk(subset_walk(n), f"the subsets of [{n}]")
     size = class_size(mu)
     pairings = characters.h_pairings(mu)
     values = [pairings[lam] for lam in partition_list(n)]
@@ -259,7 +292,7 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
     with ValueError before any fiber is read.
     """
     n = dist.n
-    _check_subsets(n)
+    check_walk(subset_walk(n), f"the subsets of [{n}]")
     top = 1 << (n - 1)
     f = list(map(dist.fibers.get, range(top), repeat(0)))
     low = [0] * top  # L[j] = c_j
@@ -307,9 +340,10 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     subsets of [n] to solve over, is refused with ValueError up front.
     write_extension dumps the result.
     """
-    mu = check_walk(mu, elements=True)
+    mu = check_class_type(mu)
     n = sum(mu)
-    _check_subsets(n)
+    check_walk(subset_walk(n), f"the subsets of [{n}]")
+    check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     by_des: Dict[int, list] = {}
     for pi in conjugacy_class(mu):  # lexicographic
         by_des.setdefault(descent_set(pi), []).append(pi)
@@ -327,21 +361,11 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
             j = (d | top) if idx < head else d
             cdes[pi] = j
             by_cdes.setdefault(j, []).append(pi)
+    # the solver checked c_J = c_(sh J), so each fiber and its rotation
+    # have the same size
     p_map: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    seen = set()
-    for j0 in sorted(by_cdes):
-        if j0 in seen:
-            continue
-        orbit = [j0]
-        seen.add(j0)
-        nxt = rotate_subset(j0, n)
-        while nxt != j0:
-            orbit.append(nxt)
-            seen.add(nxt)
-            nxt = rotate_subset(nxt, n)
-        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
-            for src, dst in zip(by_cdes[a], by_cdes.get(b, ())):
-                p_map[src] = dst
+    for j, elems in by_cdes.items():
+        p_map.update(zip(elems, by_cdes[rotate_subset(j, n)]))
     result = CyclicExtensionSolution(mu, n, sol, cdes, p_map)
     checks = check_axioms(result)
     if not all(checks.values()):
@@ -380,8 +404,9 @@ def cellini_closed(mu) -> bool:
     """Whether the multiset of Cellini cyclic descent sets of the class
     is invariant under rotation.  A class with more than WALK_LIMIT
     elements is refused with ValueError up front."""
-    mu = check_walk(mu, elements=True)
+    mu = check_class_type(mu)
     n = sum(mu)
+    check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     counts = Counter(cellini_descent_set(pi) for pi in conjugacy_class(mu))
     rotated = Counter()
     for mask, k in counts.items():

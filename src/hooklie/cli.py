@@ -4,12 +4,13 @@ Subcommands: hooks, series, verify <suite>, construct, cellini, witt;
 each takes only the flags it reads.  Reports render as json (deterministic
 given the command line; no file is read), csv, or text; timing always goes
 to stderr.
+SUITES is the one table of verify suites and the bounds each reads, with
+their defaults; verify refuses a bound flag its suite does not read.
 Exit codes: 0 all assertions passed, 1 an assertion failed (including an
-exactness check that raised ArithmeticError), 2 usage errors (including an
-input that would walk more than cdes.WALK_LIMIT subsets, class elements
-or, in the ribbon suites, (mask, shape) or (mask, submask) pairs; a verify
-suite checks every class it will scan before it scans any, and kw-identity
-the 2^n_max subsets of its largest n).
+exactness check that raised ArithmeticError), 2 usage errors, including
+every ValueError the library raises on a bad input and any input that
+would walk more than cdes.WALK_LIMIT items: each verify suite passes
+cdes.check_walk the largest walk of its scan before it scans anything.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .combinat import (
 )
 from .series import IntPolynomial, is_unimodal, witt_transform
 
-DEFAULT_N_MAX = 8
-DEFAULT_R_MAX = 40
 DEFAULT_S_MAX = 5
-UNIMODALITY_S_MAX = 8
 
 
 class Report:
@@ -171,8 +169,6 @@ def no_extension_payload(cert) -> dict:
 
 def cmd_hooks(args) -> Report:
     r, s = args.r, args.s
-    if r < 1 or s < 1:
-        raise UsageError("hooks needs r >= 1 and s >= 1")
     report = Report("hooks", {"r": r, "s": s}, {})
     profile = lie.hook_profile(r, s)
     npoly = lie.hook_poly(r, s)
@@ -198,8 +194,6 @@ def cmd_hooks(args) -> Report:
 
 def cmd_series(args) -> Report:
     r, s_max = args.r, args.s_max
-    if r < 1 or s_max < 1:
-        raise UsageError("series needs r >= 1 and s_max >= 1")
     report = Report("series", {"r": r, "s_max": s_max}, {})
     series = lie.column_row_series(r, s_max)
     crit = lie.squarefree_criterion(r, s_max)
@@ -239,8 +233,6 @@ def cmd_series(args) -> Report:
 
 def cmd_witt(args) -> Report:
     r = args.r
-    if r < 1:
-        raise UsageError("witt needs r >= 1")
     try:
         coeffs = [int(c) for c in args.coeffs.split(",")]
     except ValueError:
@@ -280,9 +272,12 @@ def cmd_construct(args) -> Report:
         report.payload.update(payload)
         return report
     out_path = args.output or f"extension-{'-'.join(map(str, mu))}.json"
-    with open(out_path, "w", encoding="ascii") as fh:
-        fibers = cdes.write_extension(sol, fh)
-        fh.write("\n")
+    try:
+        with open(out_path, "w", encoding="ascii") as fh:
+            fibers = cdes.write_extension(sol, fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}")
     report.payload.update(
         {
             "feasible": True,
@@ -299,25 +294,6 @@ def cmd_construct(args) -> Report:
 # -- verification suites -----------------------------------------------------
 
 
-def _check_scan(n_min: int, n_max: int, elements: bool = False) -> None:
-    """Refuse a scan before it starts: cdes.check_walk on every class with
-    n_min <= n <= n_max, in order of n, so the first n over the limit stops
-    the check."""
-    for n in range(n_min, n_max + 1):
-        for mu in partition_list(n):
-            cdes.check_walk(mu, elements)
-
-
-def _check_suite_walk(n_max: int, items: int, what: str) -> None:
-    """Refuse a ribbon or kw-identity suite whose formula would walk more
-    than cdes.WALK_LIMIT items on one class of S_(n_max), its largest n."""
-    if items > cdes.WALK_LIMIT:
-        raise ValueError(
-            f"a class of S_{n_max} walks {items} {what}, over the walk limit of "
-            f"{cdes.WALK_LIMIT}"
-        )
-
-
 def _feasible(mu) -> bool:
     return not isinstance(
         cdes.solve_extension(cdes.descent_distribution(mu)), cdes.Infeasible
@@ -329,12 +305,10 @@ def _expected_feasible(mu) -> bool:
     return not (rect is not None and is_squarefree(rect[0]))
 
 
-def suite_main_theorem(args, report: Report) -> None:
+def suite_main_theorem(report: Report, n_max: int) -> None:
     """Extension exists iff the class is not a rectangle with square-free
     part size; exhaustive over n <= n_max."""
-    n_max = args.n_max or DEFAULT_N_MAX
-    _check_scan(1, n_max)
-    report.parameters["n_max"] = n_max
+    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
     scanned = 0
     for n in range(1, n_max + 1):
         bad = []
@@ -350,12 +324,9 @@ def suite_main_theorem(args, report: Report) -> None:
     report.payload["classes_scanned"] = scanned
 
 
-def suite_squarefree(args, report: Report) -> None:
+def suite_squarefree(report: Report, r_max: int, s_max: int) -> None:
     """(1+x)^2 divides every [y^s] iff r has a square factor; the moment
     identity; non-negativity of the square quotients."""
-    r_max = args.r_max or 30
-    s_max = args.s_max or DEFAULT_S_MAX
-    report.parameters.update({"r_max": r_max, "s_max": s_max})
     bad_dichotomy = []
     bad_moment = []
     bad_quotient = []
@@ -386,12 +357,9 @@ def suite_squarefree(args, report: Report) -> None:
     )
 
 
-def suite_unimodality(args, report: Report) -> None:
+def suite_unimodality(report: Report, r_max: int, s_max: int) -> None:
     """Hook multiplicity sequences are unimodal in the scanned range;
     counterexamples are reported, never assumed absent."""
-    r_max = args.r_max or DEFAULT_R_MAX
-    s_max = args.s_max or UNIMODALITY_S_MAX
-    report.parameters.update({"r_max": r_max, "s_max": s_max})
     violations = []
     for r in range(1, r_max + 1):
         # largest s first, so the column-row table of r is built once
@@ -406,17 +374,16 @@ def suite_unimodality(args, report: Report) -> None:
     report.check("hook-multiplicities-unimodal", not violations)
 
 
-def suite_gr_fibers(args, report: Report) -> None:
+def suite_gr_fibers(report: Report, n_max: int) -> None:
     """Schur-expansion descent fibers (multiplicities times standard
     tableaux by descent set) match the Gessel-Reutenauer fibers of
     descent_distribution for every class and every descent set, n <= n_max."""
-    n_max = args.n_max or 6
-    _check_scan(1, n_max)
+    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
     # straight_ribbon_fiber sums over every shape for each of 2^(n-1) masks
-    _check_suite_walk(
-        n_max, 2 ** (n_max - 1) * len(partition_list(n_max)), "(mask, shape) pairs"
+    cdes.check_walk(
+        2 ** (n_max - 1) * len(partition_list(n_max)),
+        f"the (mask, shape) pairs of a class of S_{n_max}",
     )
-    report.parameters["n_max"] = n_max
     for n in range(1, n_max + 1):
         bad = []
         for mu in partition_list(n):
@@ -432,13 +399,11 @@ def suite_gr_fibers(args, report: Report) -> None:
         )
 
 
-def suite_kw_identity(args, report: Report) -> None:
+def suite_kw_identity(report: Report, n_max: int) -> None:
     """Hook multiplicities of the full cycle count k-subsets of [n-1]
     with sum 1 mod n; Witt coefficients count them inside [n]."""
-    n_max = args.n_max or 12
     # subset_sum_count walks every subset of [n]
-    _check_suite_walk(n_max, 2**n_max, "subsets")
-    report.parameters["n_max"] = n_max
+    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
     bad_hooks = []
     bad_witt = []
     for n in range(1, n_max + 1):
@@ -459,13 +424,16 @@ def suite_kw_identity(args, report: Report) -> None:
     )
 
 
-def suite_cellini(args, report: Report) -> None:
+def suite_cellini(report: Report, n_max: int) -> None:
     """Scan 2 <= n <= n_max for classes whose Cellini cyclic descent
     multiset is rotation closed (n = 1 is degenerate: rotation is the
     identity map on subsets of [1])."""
-    n_max = args.n_max or 6
-    _check_scan(2, n_max, elements=True)
-    report.parameters["n_max"] = n_max
+    # cellini_closed walks the class; (n-1, 1) is a largest class of S_n,
+    # n >= 2, as no centralizer order is below its own
+    if n_max > 1:
+        cdes.check_walk(
+            cdes.class_walk((n_max - 1, 1)), f"the elements of a class of S_{n_max}"
+        )
     closed = []
     for n in range(2, n_max + 1):
         for mu in partition_list(n):
@@ -482,14 +450,12 @@ def suite_cellini(args, report: Report) -> None:
     )
 
 
-def suite_affine_fibers(args, report: Report) -> None:
+def suite_affine_fibers(report: Report, n_max: int) -> None:
     """For every feasible class, the inclusion-exclusion of cyclic ribbon
     characters reproduces every solved cDes fiber size, n <= n_max."""
-    n_max = args.n_max or 7
-    _check_scan(1, n_max)
+    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
     # affine_ribbon_fiber walks every submask of every mask: 3^n pairs
-    _check_suite_walk(n_max, 3**n_max, "(mask, submask) pairs")
-    report.parameters["n_max"] = n_max
+    cdes.check_walk(3**n_max, f"the (mask, submask) pairs of a class of S_{n_max}")
     for n in range(1, n_max + 1):
         bad = []
         feasible = 0
@@ -509,24 +475,35 @@ def suite_affine_fibers(args, report: Report) -> None:
         )
 
 
-SUITES: Dict[str, Callable[[argparse.Namespace, Report], None]] = {
-    "main-theorem": suite_main_theorem,
-    "squarefree": suite_squarefree,
-    "unimodality": suite_unimodality,
-    "gr-fibers": suite_gr_fibers,
-    "kw-identity": suite_kw_identity,
-    "cellini": suite_cellini,
-    "affine-fibers": suite_affine_fibers,
+# name: (suite, {bound it reads: default}); verify passes it the bounds as
+# keywords and records them as the report's parameters
+SUITES: Dict[str, Tuple[Callable[..., None], Dict[str, int]]] = {
+    "main-theorem": (suite_main_theorem, {"n_max": 8}),
+    "squarefree": (suite_squarefree, {"r_max": 30, "s_max": DEFAULT_S_MAX}),
+    "unimodality": (suite_unimodality, {"r_max": 40, "s_max": 8}),
+    "gr-fibers": (suite_gr_fibers, {"n_max": 6}),
+    "kw-identity": (suite_kw_identity, {"n_max": 12}),
+    "cellini": (suite_cellini, {"n_max": 6}),
+    "affine-fibers": (suite_affine_fibers, {"n_max": 7}),
 }
+BOUNDS = sorted({name for _, bounds in SUITES.values() for name in bounds})
 
 
 def cmd_verify(args) -> Report:
-    for name in ("n_max", "r_max", "s_max"):
+    suite, defaults = SUITES[args.suite]
+    bounds = dict(defaults)
+    for name in BOUNDS:
         value = getattr(args, name)
-        if value is not None and value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
-    report = Report("verify", {"suite": args.suite}, {})
-    SUITES[args.suite](args, report)
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name not in defaults:
+            raise UsageError(f"verify {args.suite} does not read {flag}")
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
+        bounds[name] = value
+    report = Report("verify", {"suite": args.suite, **bounds}, {})
+    suite(report, **bounds)
     return report
 
 
@@ -552,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--n-max", type=int, default=None, help="scan bound on n")
-    sp.add_argument("--r-max", type=int, default=None, help="scan bound on r")
-    sp.add_argument("--s-max", type=int, default=None, help="scan bound on s")
+    for name in BOUNDS:
+        sp.add_argument("--" + name.replace("_", "-"), type=int,
+                        help=f"scan bound on {name[0]}")
 
     sp = sub.add_parser("construct", help="build an explicit cyclic extension")
     sp.add_argument("mu", help="partition, e.g. 2,2,1")

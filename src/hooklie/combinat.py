@@ -25,7 +25,6 @@ __all__ = [
     "partition_list",
     "centralizer_order",
     "class_size",
-    "restricted_partitions",
     "cycle_type",
     "conjugacy_class",
     "descent_set",
@@ -149,29 +148,6 @@ def centralizer_order(mu) -> int:
 def class_size(mu) -> int:
     mu = _check_partition(mu)
     return math.factorial(sum(mu)) // centralizer_order(mu)
-
-
-def restricted_partitions(i: int, r: int, s: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of i into at most s parts, each at most r.
-
-    Yields lazily, in increasing lexicographic order, as weakly decreasing
-    tuples of length exactly s (padded with zeros).
-    """
-    if i < 0 or r < 0 or s < 0:
-        raise ValueError("arguments must be non-negative")
-
-    def rec(remaining: int, slots: int, cap: int, acc: list[int]):
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        lo = -(-remaining // slots)  # smallest feasible leading part
-        for v in range(lo, min(cap, remaining) + 1):
-            acc.append(v)
-            yield from rec(remaining - v, slots - 1, v, acc)
-            acc.pop()
-
-    return rec(i, s, r, [])
 
 
 # -- permutations ------------------------------------------------------------

@@ -130,12 +130,6 @@ class IntPolynomial:
         nb = _digit_bytes(sum(map(abs, a)) ** e)
         return IntPolynomial(_unpack(_pack(a, nb) ** e, (len(a) - 1) * e + 1, nb))
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for v in reversed(self.coeffs):
-            acc = acc * x + v
-        return acc
-
     def substitute_power(self, d: int) -> "IntPolynomial":
         """p(x^d)."""
         if d < 1:

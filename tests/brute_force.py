@@ -31,6 +31,10 @@ schoolbook_mul and power_by_squaring multiply coefficient by coefficient;
 they are the reference for the Kronecker-substitution product and power
 of hooklie.series.IntPolynomial, and witt_transform_by_schoolbook
 assembles the Witt transform from them alone.
+
+restricted_partitions lists the partitions of i inside an r x s box, padded
+with zeros to length s; tests/test_lie.py sums over them to compute the
+column-row multiplicities by their definition.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 from hooklie.cdes import DescentDistribution, FiberSolution, Infeasible
 from hooklie.combinat import (
@@ -301,3 +305,26 @@ def witt_transform_by_schoolbook(p: IntPolynomial, r: int) -> IntPolynomial:
     if any(v % r for v in acc.coeffs):
         raise ArithmeticError(f"Witt transform not integral at r={r}")
     return IntPolynomial(v // r for v in acc.coeffs)
+
+
+def restricted_partitions(i: int, r: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of i into at most s parts, each at most r.
+
+    Yields lazily, in increasing lexicographic order, as weakly decreasing
+    tuples of length exactly s (padded with zeros).
+    """
+    if i < 0 or r < 0 or s < 0:
+        raise ValueError("arguments must be non-negative")
+
+    def rec(remaining: int, slots: int, cap: int, acc: list[int]):
+        if slots == 0:
+            if remaining == 0:
+                yield tuple(acc)
+            return
+        lo = -(-remaining // slots)  # smallest feasible leading part
+        for v in range(lo, min(cap, remaining) + 1):
+            acc.append(v)
+            yield from rec(remaining - v, slots - 1, v, acc)
+            acc.pop()
+
+    return rec(i, s, r, [])

@@ -86,7 +86,7 @@ def test_distribution_rejects_oversized_class():
     # the limit is the largest class of S_10, and the 2^18 subsets of [18] fit
     largest = max(class_size(mu) for mu in partition_list(10))
     assert cdes.WALK_LIMIT == largest == 403_200
-    assert cdes.check_walk((1,) * 18) == (1,) * 18
+    cdes.check_walk(cdes.subset_walk(18), "the subsets of [18]")
     # the routes that walk the class refuse (11), with 10! elements
     for call in (construct_extension, cellini_closed):
         with pytest.raises(ValueError, match="walk limit"):
@@ -94,6 +94,21 @@ def test_distribution_rejects_oversized_class():
     # descent fibers walk no class element, so (11) runs
     dist = descent_distribution((11,))
     assert sum(dist.fibers.values()) == math.factorial(10) == 3_628_800
+
+
+def test_walk_counts_saturate_past_the_limit():
+    cap = 2**20
+    assert cap > cdes.WALK_LIMIT
+    for n in range(1, 16):
+        for mu in partition_list(n):
+            assert cdes.class_walk(mu) == min(class_size(mu), cap), mu
+    for n in range(30):
+        assert cdes.subset_walk(n) == min(2**n, cap)
+    # a huge n is judged without building n! or 2^n
+    assert cdes.class_walk((1,) * 100_000) == 1
+    assert cdes.class_walk((2,) + (1,) * 896) == math.comb(898, 2) <= cdes.WALK_LIMIT
+    assert cdes.class_walk((2,) + (1,) * 897) > cdes.WALK_LIMIT
+    assert cdes.class_walk((100_000,)) == cdes.subset_walk(10**12) == cap
 
 
 class _NoWork(dict):

@@ -148,11 +148,57 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hooks", "4", "2", "--n-max", "3"])
     assert exc.value.code == 2
+    # each verify suite reads its own bounds, with these defaults
+    bounds = {name: defaults for name, (_, defaults) in cli.SUITES.items()}
+    assert bounds == {
+        "main-theorem": {"n_max": 8},
+        "squarefree": {"r_max": 30, "s_max": 5},
+        "unimodality": {"r_max": 40, "s_max": 8},
+        "gr-fibers": {"n_max": 6},
+        "kw-identity": {"n_max": 12},
+        "cellini": {"n_max": 6},
+        "affine-fibers": {"n_max": 7},
+    }
+    # and refuses the others before any work
+    for suite, defaults in bounds.items():
+        for name in {"n_max", "r_max", "s_max"} - set(defaults):
+            flag = "--" + name.replace("_", "-")
+            code, out, err = run(["verify", suite, flag, "3"], capsys)
+            assert (code, out) == (2, "")
+            assert f"does not read {flag}" in err
 
 
 def test_bad_flag_value_exits_2(capsys):
     code, out, err = run(["verify", "cellini", "--n-max", "0"], capsys)
     assert code == 2
+    # the library refuses these with ValueError
+    for argv in (["hooks", "0", "2"], ["series", "3", "--s-max", "0"], ["witt", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "5000"],
+        ["cellini", "5000"],
+        ["verify", "kw-identity", "--n-max", "100000"],
+    ],
+)
+def test_huge_inputs_are_refused_in_one_short_line(argv, capsys):
+    # the message names n, not a count with thousands of digits
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "walk limit" in err
+    assert len(err.splitlines()) == 1 and len(err) < 100
+
+
+def test_unwritable_dump_path_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "ext.json"
+    code, out, err = run(["construct", "3,1", "--output", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
 
 # -- hooks and series reports ------------------------------------------------
@@ -261,6 +307,26 @@ def test_hooks_json_bytes_are_pinned(args, capsys):
     code, out, _ = run(["hooks", *args.split(), "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == HOOKS_DIGESTS[args]
+
+
+# SHA-256 of the stdout of `hooklie verify <args> --format json` as each
+# suite read and recorded its own bounds; the table of suite bounds must
+# keep every byte.
+VERIFY_DIGESTS = {
+    "main-theorem --n-max 5": (
+        "f3b24a0b00c9fd7261a828b1f3f2a340c59bd0b33d790fe532e7e2706f1a0a54"
+    ),
+    "squarefree --r-max 6 --s-max 3": (
+        "beaf6237717c867c09c88cc8e89c8fb01c6e911691cd5680a8bbafb617041a0d"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_DIGESTS))
+def test_verify_json_bytes_are_pinned(args, capsys):
+    code, out, _ = run(["verify", *args.split(), "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[args]
 
 
 def test_json_reports_are_deterministic(capsys):

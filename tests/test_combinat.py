@@ -1,4 +1,5 @@
-"""Tests for partitions, permutations, subset masks, tableaux, Kostka numbers.
+"""Tests for partitions, permutations, subset masks, tableaux, Kostka numbers,
+and the box-partition lister of tests/brute_force.py.
 
 Frozen constants were computed by independent brute-force enumeration
 (itertools over full symmetric groups / semistandard fillings) and are
@@ -10,6 +11,7 @@ import random
 from itertools import permutations
 
 import pytest
+from brute_force import restricted_partitions
 
 from hooklie.combinat import (
     Tableau,
@@ -27,7 +29,6 @@ from hooklie.combinat import (
     mask_from_elements,
     moebius,
     partition_list,
-    restricted_partitions,
     rotate_subset,
     standard_tableaux,
     subset_elements,

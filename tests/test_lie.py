@@ -10,10 +10,11 @@ import math
 import random
 
 import pytest
+from brute_force import restricted_partitions
 
 from hooklie import characters, lie
 from hooklie.characters import hook_mults_oracle
-from hooklie.combinat import is_squarefree, moebius, restricted_partitions
+from hooklie.combinat import is_squarefree, moebius
 from hooklie.lie import (
     NoExtension,
     column_row_mults,
