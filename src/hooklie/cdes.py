@@ -36,12 +36,11 @@ dict-and-stack propagation from c_() = 0 is the test oracle
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import Counter
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import lt, ne, sub
+from operator import and_, eq, lt, ne, sub
 from types import MappingProxyType
 from typing import (
     Dict,
@@ -125,17 +124,20 @@ class FiberSolution(NamedTuple):
 
 
 class CyclicExtensionSolution(NamedTuple):
-    """An explicit cyclic extension: fiber sizes, the cDes of every class
-    element, and the rotation-equivariant bijection p.  axioms holds the
-    results of the exhaustive check_axioms run that construct_extension
-    made before returning it (an empty read-only mapping for a solution
-    built elsewhere)."""
+    """An explicit cyclic extension, held as parallel arrays over the class.
+    elements is the class in lexicographic order, cdes[i] the cDes mask of
+    elements[i], and p[i] the index of the image of elements[i] under the
+    rotation-equivariant bijection p.  axioms holds the results of the
+    exhaustive check_axioms run that construct_extension made before
+    returning it (an empty read-only mapping for a solution built
+    elsewhere)."""
 
     mu: Tuple[int, ...]
     n: int
     fibers: FiberSolution
-    cdes: Dict[Tuple[int, ...], int]
-    p_map: Dict[Tuple[int, ...], Tuple[int, ...]]
+    elements: Tuple[Tuple[int, ...], ...]
+    cdes: Tuple[int, ...]
+    p: Tuple[int, ...]
     axioms: Mapping[str, bool] = MappingProxyType({})
 
 
@@ -344,29 +346,31 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     n = sum(mu)
     check_walk(subset_walk(n), f"the subsets of [{n}]")
     check_walk(class_walk(mu), f"the elements of a class of S_{n}")
-    by_des: Dict[int, list] = {}
-    for pi in conjugacy_class(mu):  # lexicographic
-        by_des.setdefault(descent_set(pi), []).append(pi)
-    dist = _checked_distribution(mu, {d: len(elems) for d, elems in by_des.items()})
+    elements = tuple(conjugacy_class(mu))  # lexicographic
+    des = list(map(descent_set, elements))
+    dist = _checked_distribution(mu, dict(Counter(des)))
     sol = solve_extension(dist)
     if isinstance(sol, Infeasible):
         note = _escher_note(mu)
         return Infeasible(sol.reason, sol.subset, note) if note else sol
     top = 1 << (n - 1)
-    cdes: Dict[Tuple[int, ...], int] = {}
-    by_cdes: Dict[int, list] = {}
-    for d, elems in by_des.items():
-        head = sol.count(d | top)
-        for idx, pi in enumerate(elems):
-            j = (d | top) if idx < head else d
-            cdes[pi] = j
-            by_cdes.setdefault(j, []).append(pi)
+    head = {d: sol.count(d | top) for d in dist.fibers}  # left to get n, per D
+    cdes = []
+    for d in des:
+        if head[d]:
+            head[d] -= 1
+            d |= top
+        cdes.append(d)
+    fiber: Dict[int, List[int]] = {}  # the indices of each cDes fiber, in order
+    for i, j in enumerate(cdes):
+        fiber.setdefault(j, []).append(i)
     # the solver checked c_J = c_(sh J), so each fiber and its rotation
     # have the same size
-    p_map: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for j, elems in by_cdes.items():
-        p_map.update(zip(elems, by_cdes[rotate_subset(j, n)]))
-    result = CyclicExtensionSolution(mu, n, sol, cdes, p_map)
+    p = [0] * len(elements)
+    for j, indices in fiber.items():
+        for i, image in zip(indices, fiber[rotate_subset(j, n)]):
+            p[i] = image
+    result = CyclicExtensionSolution(mu, n, sol, elements, tuple(cdes), tuple(p))
     checks = check_axioms(result)
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
@@ -375,28 +379,21 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
 
 
 def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
-    """Exhaustive verification of a constructed extension."""
-    n = sol.n
-    top = 1 << (n - 1)
+    """Exhaustive verification of a constructed extension.  A malformed
+    solution (arrays of the wrong length, p not a permutation of the
+    indices, masks outside [n]) gets False, never an exception."""
+    n, elements, cdes, p = sol.n, sol.elements, sol.cdes, sol.p
     full = full_mask(n)
-    extension = all(
-        (j & ~top) == descent_set(pi) for pi, j in sol.cdes.items()
-    )
-    non_escher = all(0 < j < full for j in sol.cdes.values())
-    bijection = set(sol.p_map) == set(sol.cdes) and set(sol.p_map.values()) == set(
-        sol.cdes
-    )
-    equivariance = bijection and all(
-        sol.cdes[img] == rotate_subset(sol.cdes[src], n)
-        for src, img in sol.p_map.items()
-    )
-    observed = Counter(sol.cdes.values())
-    fiber_counts = dict(observed) == sol.fibers.counts
+    whole = len(cdes) == len(elements)  # one cDes per class element
+    restricted = map(and_, cdes, repeat(~(1 << (n - 1))))  # cDes without n
+    rotated = {j: rotate_subset(j, n) for j in set(cdes) if 0 <= j <= full}
     return {
-        "extension": extension,
-        "equivariance": equivariance,
-        "non-escher": non_escher,
-        "fiber-counts": fiber_counts,
+        "extension": whole and all(map(eq, restricted, map(descent_set, elements))),
+        "equivariance": whole
+        and sorted(p) == list(range(len(cdes)))  # p is a bijection
+        and list(map(cdes.__getitem__, p)) == list(map(rotated.get, cdes)),
+        "non-escher": all(0 < j < full for j in cdes),
+        "fiber-counts": dict(Counter(cdes)) == sol.fibers.counts,
     }
 
 
@@ -474,18 +471,21 @@ def straight_ribbon_fiber(mu, mask: int) -> int:
     )
 
 
-# One element record as json.dump(..., sort_keys=True, indent=1) lays it out
-# inside the top-level "elements" list: keys at depth 3, list items at depth 4.
+# One element record and one fiber record as json.dump(..., sort_keys=True,
+# indent=1) lays them out inside a top-level list: keys at depth 3, list
+# items at depth 4.
 _RECORD = (
     '  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": %s,\n   "p_image": %s\n  }'
 )
+_FIBER = '  {\n   "count": %d,\n   "subset": %s\n  }'
 
 
-def _int_list(values) -> str:
-    """An int list as it appears at key depth 3 of the dump."""
+def _int_list(values, depth: int = 3) -> str:
+    """An int list as it appears at key depth `depth` of the dump."""
     if not values:
         return "[]"
-    return "[\n    " + ",\n    ".join(map(str, values)) + "\n   ]"
+    pad = "\n" + " " * depth
+    return "[" + pad + " " + ("," + pad + " ").join(map(str, values)) + pad + "]"
 
 
 def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
@@ -495,39 +495,35 @@ def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
     The bytes written are exactly those of
     json.dump(doc, fh, sort_keys=True, indent=1) with doc = {"elements",
     "fibers", "mu", "n"}: "elements" holds one record {"cdes", "des",
-    "one_line", "p_image"} (int lists) per class element in lexicographic
-    order, and "fibers" the nonzero fiber sizes {"count", "subset"} in mask
-    order.  So the format is byte-stable: the same class always gives the
-    same bytes.  Records are written one at a time, so the dump never sits
-    in memory whole.  des is cDes without n, which the "extension" axiom
-    checked against descent_set for every element.
+    "one_line", "p_image"} (int lists) per class element in the order of
+    sol.elements, which construct_extension makes lexicographic, and
+    "fibers" the nonzero fiber sizes {"count", "subset"} in mask order.  So
+    the format is byte-stable: the same class always gives the same bytes.
+    The arrays are zipped in order and each record is filled into a
+    template and written at once, so the dump never sits in memory whole.
+    des is cDes without n, which the "extension" axiom checked against
+    descent_set for every element.
     """
     top = 1 << (sol.n - 1)
-    subsets: Dict[int, str] = {}  # at most 2^n masks against n!/z elements
-
-    def subset_text(mask: int) -> str:
-        text = subsets.get(mask)
-        if text is None:
-            text = subsets[mask] = _int_list(subset_elements(mask))
-        return text
-
+    # at most 2^n masks against n!/z elements
+    subsets = {
+        j: (_int_list(subset_elements(j)), _int_list(subset_elements(j & ~top)))
+        for j in set(sol.cdes)
+    }
     # the one-line lists of a class all have n entries: one %-format each
     perm = _int_list(["%d"] * sol.n)
     record = _RECORD % ("%s", "%s", perm, perm)
-    cdes, p_map = sol.cdes, sol.p_map
+    elements = sol.elements
     fh.write('{\n "elements": [')
     sep = "\n"
-    for pi in sorted(cdes):
-        j = cdes[pi]
-        fh.write(sep + record % ((subset_text(j), subset_text(j & ~top)) + pi + p_map[pi]))
+    for pi, j, image in zip(elements, sol.cdes, sol.p):
+        fh.write(sep + record % (subsets[j] + pi + elements[image]))
         sep = ",\n"
     fh.write("]" if sep == "\n" else "\n ]")  # no element: "elements": []
-    fibers = [
-        {"subset": list(subset_elements(j)), "count": c}
-        for j, c in sorted(sol.fibers.counts.items())
-    ]
-    tail = json.dumps(
-        {"fibers": fibers, "mu": list(sol.mu), "n": sol.n}, sort_keys=True, indent=1
+    counts = sorted(sol.fibers.counts.items())
+    rows = ",\n".join(_FIBER % (c, _int_list(subset_elements(j))) for j, c in counts)
+    fh.write(
+        ',\n "fibers": [%s],\n "mu": %s,\n "n": %d\n}'
+        % ("\n" + rows + "\n " if rows else "", _int_list(sol.mu, 1), sol.n)
     )
-    fh.write("," + tail[1:])  # the keys after "elements", without the opening brace
-    return fibers
+    return [{"subset": list(subset_elements(j)), "count": c} for j, c in counts]

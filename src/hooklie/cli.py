@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Tuple
@@ -257,6 +258,10 @@ def cmd_cellini(args) -> Report:
 def cmd_construct(args) -> Report:
     mu = parse_partition(args.mu)
     report = Report("construct", {"mu": list(mu)}, {})
+    out_path = args.output or f"extension-{'-'.join(map(str, mu))}.json"
+    folder = os.path.dirname(out_path) or "."  # checked before the class walk
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise UsageError(f"cannot write {out_path}: no writable directory {folder}")
     sol = cdes.construct_extension(mu)
     if isinstance(sol, cdes.Infeasible):
         payload = {
@@ -271,8 +276,7 @@ def cmd_construct(args) -> Report:
             payload["certificate_violation"] = no_extension_payload(cert)
         report.payload.update(payload)
         return report
-    out_path = args.output or f"extension-{'-'.join(map(str, mu))}.json"
-    try:
+    try:  # opened only now, so an infeasible class leaves no file
         with open(out_path, "w", encoding="ascii") as fh:
             fibers = cdes.write_extension(sol, fh)
             fh.write("\n")
@@ -281,7 +285,7 @@ def cmd_construct(args) -> Report:
     report.payload.update(
         {
             "feasible": True,
-            "class_size": len(sol.cdes),
+            "class_size": len(sol.elements),
             "fibers": fibers,
             "dump": out_path,
         }

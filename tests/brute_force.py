@@ -258,10 +258,10 @@ def extension_records(sol) -> dict:
             {
                 "one_line": list(pi),
                 "des": list(subset_elements(descent_set(pi))),
-                "cdes": list(subset_elements(sol.cdes[pi])),
-                "p_image": list(sol.p_map[pi]),
+                "cdes": list(subset_elements(j)),
+                "p_image": list(sol.elements[image]),
             }
-            for pi in sorted(sol.cdes)
+            for pi, j, image in sorted(zip(sol.elements, sol.cdes, sol.p))
         ],
     }
 

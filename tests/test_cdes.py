@@ -370,7 +370,8 @@ def test_solver_pure_function():
 def test_construct_four_cycles_worked_example():
     sol = construct_extension((4,))
     assert not isinstance(sol, Infeasible)
-    got = {pi: tuple(subset_elements(m)) for pi, m in sol.cdes.items()}
+    assert list(sol.elements) == sorted(sol.elements)
+    got = {pi: tuple(subset_elements(m)) for pi, m in zip(sol.elements, sol.cdes)}
     assert got == {
         (2, 3, 4, 1): (3, 4),
         (2, 4, 1, 3): (2, 4),
@@ -385,6 +386,38 @@ def test_construct_four_cycles_worked_example():
         "non-escher": True,
         "fiber-counts": True,
     }
+    # p sends each element to the one whose cDes is the rotation of its own
+    images = {sol.elements[i]: sol.elements[k] for i, k in enumerate(sol.p)}
+    assert images == {
+        (2, 3, 4, 1): (4, 1, 2, 3),
+        (2, 4, 1, 3): (3, 1, 4, 2),
+        (3, 1, 4, 2): (2, 4, 1, 3),
+        (3, 4, 2, 1): (2, 3, 4, 1),
+        (4, 1, 2, 3): (4, 3, 1, 2),
+        (4, 3, 1, 2): (3, 4, 2, 1),
+    }
+
+
+def test_check_axioms_answers_on_malformed_solutions():
+    # four doctored copies of the (4,) extension; check_axioms answers each
+    # with False where it fails and raises on none
+    sol = construct_extension((4,))
+    broken = {
+        "p out of range": sol._replace(p=(6,) + sol.p[1:]),
+        "p repeats an index": sol._replace(p=sol.p[1:2] + sol.p[1:]),
+        "cdes one entry short": sol._replace(cdes=sol.cdes[:-1]),
+        "cdes with wrong Des bits": sol._replace(cdes=(sol.cdes[0] ^ 1,) + sol.cdes[1:]),
+    }
+    got = {name: check_axioms(doctored) for name, doctored in broken.items()}
+    ok = dict.fromkeys(["extension", "equivariance", "non-escher", "fiber-counts"], True)
+    # p is read by equivariance alone
+    assert got["p out of range"] == {**ok, "equivariance": False}
+    assert got["p repeats an index"] == {**ok, "equivariance": False}
+    # a changed cdes array changes the multiset of the fibers and the
+    # rotation relation along p as well, so those two fail with it
+    wrong_cdes = {**ok, "extension": False, "equivariance": False, "fiber-counts": False}
+    assert got["cdes one entry short"] == wrong_cdes
+    assert got["cdes with wrong Des bits"] == wrong_cdes
 
 
 def test_construct_axioms_all_feasible_classes():
@@ -405,7 +438,8 @@ def test_construct_extension_restricts_to_descents():
         sol = construct_extension(mu)
         assert not isinstance(sol, Infeasible)
         top = 1 << (n - 1)
-        for pi, cmask in sol.cdes.items():
+        assert len(sol.cdes) == len(sol.elements) == class_size(mu)
+        for pi, cmask in zip(sol.elements, sol.cdes):
             assert cmask & ~top == descent_set(pi)
 
 
@@ -414,8 +448,9 @@ def test_construct_p_map_shifts_cdes():
     for mu in [(4,), (3, 2)]:
         n = sum(mu)
         sol = construct_extension(mu)
-        for pi, image in sol.p_map.items():
-            assert sol.cdes[image] == rotate_subset(sol.cdes[pi], n)
+        assert sorted(sol.p) == list(range(len(sol.elements)))
+        for i, image in enumerate(sol.p):
+            assert sol.cdes[image] == rotate_subset(sol.cdes[i], n)
 
 
 def test_construct_infeasible_escher_note():
@@ -464,9 +499,9 @@ def test_write_extension_matches_json_dump():
 
 def test_write_extension_renders_empty_lists():
     # not extensions, only inputs that reach the empty-list branches
-    empty = CyclicExtensionSolution((2,), 2, FiberSolution(2, {}), {}, {})
+    empty = CyclicExtensionSolution((2,), 2, FiberSolution(2, {}), (), (), ())
     identity = CyclicExtensionSolution(
-        (1, 1), 2, FiberSolution(2, {0: 1}), {(1, 2): 0}, {(1, 2): (1, 2)}
+        (1, 1), 2, FiberSolution(2, {0: 1}), ((1, 2),), (0,), (0,)
     )
     for sol in (empty, identity):
         want = json.dumps(extension_records(sol), sort_keys=True, indent=1)

@@ -194,11 +194,28 @@ def test_huge_inputs_are_refused_in_one_short_line(argv, capsys):
     assert len(err.splitlines()) == 1 and len(err) < 100
 
 
-def test_unwritable_dump_path_exits_2(tmp_path, capsys):
-    out_file = tmp_path / "missing" / "ext.json"
+def test_unwritable_dump_path_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the class is walked
+    def construct(mu):
+        raise AssertionError("the class was walked")
+
+    monkeypatch.setattr(cdes, "construct_extension", construct)
+    out_file = tmp_path / "missing" / "x.json"
     code, out, err = run(["construct", "3,1", "--output", str(out_file)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    # without --output the dump goes to the working directory, checked too
+    folders = []
+
+    def access(path, mode):
+        folders.append(path)
+        return False
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.os, "access", access)
+    code, out, err = run(["construct", "3,1"], capsys)
+    assert (code, out, folders) == (2, "", ["."])
+    assert err.startswith("error: cannot write extension-3-1.json")
 
 
 # -- hooks and series reports ------------------------------------------------
@@ -469,6 +486,24 @@ DUMP_DIGESTS = {
 }
 
 
+# SHA-256 and length of the stdout of `construct <mu> --format json`, run
+# with --output ext.json in an empty working directory
+REPORT_DIGESTS = {
+    "4": ("6d2191f28dfcc2a509595a2fc8434f78e3e485a03010d7648cc9f2d856da49d5", 1_053),
+    "5,3": ("67101f0208d40a4769215bcdd52c6cb1f6c2df0e0b85ba5a68a9b7a66a673a95", 26_819),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(REPORT_DIGESTS))
+def test_construct_report_bytes_are_pinned(mu, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", mu, "--output", "ext.json", "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    data = out.encode("ascii")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == REPORT_DIGESTS[mu]
+
+
 @pytest.mark.parametrize("mu", sorted(DUMP_DIGESTS))
 def test_construct_dump_bytes_are_pinned(mu, tmp_path, capsys):
     out_file = tmp_path / "ext.json"
@@ -479,8 +514,10 @@ def test_construct_dump_bytes_are_pinned(mu, tmp_path, capsys):
 
 
 def test_construct_infeasible_reports_reason(tmp_path, capsys):
-    code, doc, _ = run_json(["construct", "3"], capsys)
+    out_file = tmp_path / "x.json"
+    code, doc, _ = run_json(["construct", "3", "--output", str(out_file)], capsys)
     assert code == 0
+    assert not out_file.exists()  # the dump is opened only for a feasible class
     assert doc["payload"]["feasible"] is False
     assert doc["payload"]["reason"] == "nonzero-full-set"
     assert doc["payload"]["certificate_violation"]["reason"] == (

@@ -19,7 +19,7 @@ def _records():
         feasible,
         cdes.Infeasible("negative-count", (1,)),
         cdes.construct_extension((3, 1)),
-        cdes.CyclicExtensionSolution((3, 1), 4, feasible, {}, {}),
+        cdes.CyclicExtensionSolution((3, 1), 4, feasible, (), (), ()),
         lie.NoExtension("negative-partial-sum", 3),
     ]
 
@@ -79,7 +79,7 @@ def test_certificate_is_a_plain_tuple_exactly_when_feasible():
 def test_solutions_built_without_axioms_share_no_mutable_object():
     def build():
         fibers = cdes.FiberSolution(4, {3: 1})
-        return cdes.CyclicExtensionSolution((3, 1), 4, fibers, {}, {})
+        return cdes.CyclicExtensionSolution((3, 1), 4, fibers, (), (), ())
 
     a, b = build(), build()
     shared = [x for x, y in zip(a, b) if x is y]
