@@ -480,12 +480,14 @@ _RECORD = (
 _FIBER = '  {\n   "count": %d,\n   "subset": %s\n  }'
 
 
-def _int_list(values, depth: int = 3) -> str:
-    """An int list as it appears at key depth `depth` of the dump."""
+def _int_list(values, depth: int = 3, indent: int = 1) -> str:
+    """An int list as json.dump(..., indent=indent) lays it out as the value
+    of a key at depth `depth` (the dump's element lists by default)."""
     if not values:
         return "[]"
-    pad = "\n" + " " * depth
-    return "[" + pad + " " + ("," + pad + " ").join(map(str, values)) + pad + "]"
+    pad = "\n" + " " * (depth * indent)
+    item = pad + " " * indent
+    return "[" + item + ("," + item).join(map(str, values)) + pad + "]"
 
 
 def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:

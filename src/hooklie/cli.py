@@ -74,7 +74,22 @@ def subset_list(mask: int) -> list:
     return list(subset_elements(mask))
 
 
+# The construct report's fiber table as json.dumps(doc, sort_keys=True,
+# indent=2) lays it out: the "fibers" key at depth 2, its records at depth 3,
+# their keys at depth 4 and the subset entries at depth 5.  A json string
+# never holds a raw newline, so _FIBERS_KEY can only be a key of a depth-1
+# dict, and of those only the payload has a "fibers" key.
+_FIBERS_KEY = '\n    "fibers": '
+_FIBER_ROW = '      {\n        "count": %d,\n        "subset": %s\n      }'
+
+
 def render_json(report: Report) -> str:
+    """The report as json.dumps(doc, sort_keys=True, indent=2), byte for byte.
+
+    json's indent encoder is pure Python, so the construct report's fiber
+    table (up to 2^n records) is filled into a template instead and spliced
+    in where json wrote an empty one.
+    """
     doc = {
         "command": report.command,
         "parameters": report.parameters,
@@ -82,7 +97,17 @@ def render_json(report: Report) -> str:
         "assertions": report.assertions,
         "passed": report.passed,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    fibers = report.payload.get("fibers") if report.command == "construct" else None
+    if not fibers:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    doc["payload"] = dict(report.payload, fibers=[])
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    head, _, rest = text.partition(_FIBERS_KEY + "[]")
+    rows = ",\n".join(
+        _FIBER_ROW % (row["count"], cdes._int_list(row["subset"], 4, 2))
+        for row in fibers
+    )
+    return "".join((head, _FIBERS_KEY, "[\n", rows, "\n    ]", rest))
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -277,9 +302,14 @@ def cmd_construct(args) -> Report:
         report.payload.update(payload)
         return report
     try:  # opened only now, so an infeasible class leaves no file
-        with open(out_path, "w", encoding="ascii") as fh:
-            fibers = cdes.write_extension(sol, fh)
-            fh.write("\n")
+        fh = open(out_path, "w", encoding="ascii")
+        try:
+            with fh:
+                fibers = cdes.write_extension(sol, fh)
+                fh.write("\n")
+        except OSError:
+            os.remove(out_path)  # no truncated dump is left behind
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}")
     report.payload.update(

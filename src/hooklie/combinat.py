@@ -194,8 +194,13 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # pruned when that cycle length is no longer needed, when the joined
     # path would be longer than every cycle still needed, or when the join
     # would leave fewer lone elements than fixed points still needed (only
-    # a lone element can become one).
+    # a lone element can become one).  At i = n - 1 two paths are left, one
+    # ending at n - 1 and one at n, so both completions are read off at
+    # once instead of searched two levels deep.
     n = sum(mu)
+    if n == 1:
+        yield (1,)
+        return
     need = [0] * (n + 1)  # need[k]: cycles of length k still to close
     for part in mu:
         need[part] += 1
@@ -210,9 +215,23 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     while True:
         h = head[i]
         ln = size[h]
-        if i == n:
-            # one path is left and its head is the one free value
-            if need[ln]:
+        if i == n - 1:
+            # the free values are the heads h and g of the two paths:
+            # (h, g) closes both cycles, (g, h) joins them into one, and the
+            # one with the smaller pi(n - 1) comes first
+            g = head[n]
+            lg = size[g]
+            joined = need[ln + lg]
+            if joined and g < h:
+                pi[-2] = g
+                pi[-1] = h
+                yield tuple(pi)
+            if need[ln] and need[lg] > (ln == lg):
+                pi[-2] = h
+                pi[-1] = g
+                yield tuple(pi)
+            if joined and h < g:
+                pi[-2] = g
                 pi[-1] = h
                 yield tuple(pi)
             v = n + 1

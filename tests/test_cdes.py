@@ -10,6 +10,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from brute_force import (
@@ -508,6 +509,33 @@ def test_write_extension_renders_empty_lists():
         assert _dump(sol) == want
     assert '"elements": []' in _dump(empty)
     assert '"cdes": [],\n   "des": []' in _dump(identity)
+
+
+class _CharCount:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("mu", [(5, 3), (6, 2), (4, 3, 1)])
+def test_write_extension_streams(mu):
+    # the dump never sits in memory whole: what the writer allocates at its
+    # peak is well under the size of what it writes (ASCII, so one byte a
+    # character)
+    sol = construct_extension(mu)
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        write_extension(sol, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 100_000
+    assert peak < sink.chars / 2, (peak, sink.chars)
 
 
 # -- Cellini closure ---------------------------------------------------------

@@ -2,6 +2,7 @@
 construct dumps, and module runs that no outside file can influence."""
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -513,6 +514,54 @@ def test_construct_dump_bytes_are_pinned(mu, tmp_path, capsys):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == DUMP_DIGESTS[mu]
 
 
+def test_construct_reports_render_as_json_dumps(tmp_path):
+    # render_json templates the fiber table; every byte must still be json's,
+    # also when the dump path holds the text of the spliced key, a backslash,
+    # a quote and a newline
+    tricky = tmp_path / 'a "fibers": [] \\ "b"\n    "fibers": []'
+    tricky.mkdir()
+    paths = [str(tmp_path / "ext.json"), str(tricky / "ext.json")]
+    reports = []
+    for n in range(1, 9):
+        for mu in partition_list(n):
+            argv = ["construct", ",".join(map(str, mu)), "--output", paths[0]]
+            reports.append(cli.cmd_construct(build_parser().parse_args(argv)))
+    argv = ["construct", "3,1", "--output", paths[1]]
+    reports.append(cli.cmd_construct(build_parser().parse_args(argv)))
+    assert len(reports) == 67
+    # the 49 feasible classes of n <= 8, not rectangles with a square-free
+    # part, and (3,1) again
+    assert sum("fibers" in r.payload for r in reports) == 50
+    assert reports[-1].payload["dump"] == paths[1]
+    for report in reports:
+        doc = {
+            "command": report.command,
+            "parameters": report.parameters,
+            "payload": report.payload,
+            "assertions": report.assertions,
+            "passed": report.passed,
+        }
+        assert cli.render_json(report) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_failed_dump_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a write that fails partway (here: disk full) removes the partial dump,
+    # which may have truncated an earlier one
+    def write_extension(sol, fh):
+        fh.write('{\n "elements": [')
+        fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cdes, "write_extension", write_extension)
+    out_file = tmp_path / "ext.json"
+    out_file.write_text("an earlier dump\n")
+    code, out, err = run(["construct", "3,1", "--output", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert os.strerror(errno.ENOSPC) in err
+    assert not out_file.exists()
+
+
 def test_construct_infeasible_reports_reason(tmp_path, capsys):
     out_file = tmp_path / "x.json"
     code, doc, _ = run_json(["construct", "3", "--output", str(out_file)], capsys)
@@ -534,15 +583,24 @@ def test_construct_escher_note(capsys):
 # -- module runs -------------------------------------------------------------
 
 
-def _module_run(args, env_extra=None):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child_env(env_extra=None) -> dict:
+    """The environment of a child interpreter that imports hooklie from src."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def _module_run(args, env_extra=None):
     proc = subprocess.run(
         [sys.executable, "-m", "hooklie", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(env_extra),
         timeout=600,
     )
     return proc
@@ -557,7 +615,7 @@ def test_cold_start_loads_no_heavy_stdlib_module():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ),
+        env=_child_env(),
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
