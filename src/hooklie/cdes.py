@@ -414,9 +414,9 @@ def cellini_closed(mu) -> bool:
 def cyclic_composition(n: int, mask: int) -> Tuple[int, ...]:
     """Cyclic composition of n attached to a nonempty subset {j_1<...<j_t}:
     (j_2-j_1, ..., j_t-j_(t-1), j_1+n-j_t); a singleton gives (n)."""
-    elems = subset_elements(mask)
-    if not elems or elems[-1] > n:
+    if mask <= 0 or mask >> n:
         raise ValueError(f"need a nonempty subset of [{n}]")
+    elems = subset_elements(mask)
     if len(elems) == 1:
         return (n,)
     diffs = [b - a for a, b in zip(elems, elems[1:])]
@@ -454,18 +454,23 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
     return total
 
 
-def straight_ribbon_fiber(mu, mask: int) -> int:
+def straight_ribbon_fiber(
+    mu, mask: int, schur_mults: Optional[Dict[tuple, int]] = None
+) -> int:
     """Size of {pi in the class : Des(pi) = J} predicted from the Schur
     expansion: sum over lam of the multiplicity of chi^lam times the
     number of standard tableaux of shape lam with descent set J.
 
-    J must be a subset of [n-1], and mu a class type.
+    J must be a subset of [n-1], and mu a class type.  schur_mults is the
+    class's expansion, characters.schur_multiplicities(mu); a caller that
+    reads many masks of one class passes it, and it is computed here
+    otherwise.
     """
     mu = check_class_type(mu)
     n = sum(mu)
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")
-    mults = characters.schur_multiplicities(mu)
+    mults = characters.schur_multiplicities(mu) if schur_mults is None else schur_mults
     return sum(
         m * syt_descent_counts(lam).get(mask, 0) for lam, m in mults.items() if m
     )
@@ -478,6 +483,9 @@ _RECORD = (
     '  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": %s,\n   "p_image": %s\n  }'
 )
 _FIBER = '  {\n   "count": %d,\n   "subset": %s\n  }'
+# Element records joined per write: a block is at most 81 KB on (9, 1), the
+# largest class admitted, and a record at most 612 characters at n = 18.
+_BLOCK = 256
 
 
 def _int_list(values, depth: int = 3, indent: int = 1) -> str:
@@ -502,7 +510,8 @@ def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
     "fibers" the nonzero fiber sizes {"count", "subset"} in mask order.  So
     the format is byte-stable: the same class always gives the same bytes.
     The arrays are zipped in order and each record is filled into a
-    template and written at once, so the dump never sits in memory whole.
+    template; the records are joined and written in blocks of _BLOCK, so
+    the dump never sits in memory whole.
     des is cDes without n, which the "extension" axiom checked against
     descent_set for every element.
     """
@@ -515,11 +524,14 @@ def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
     # the one-line lists of a class all have n entries: one %-format each
     perm = _int_list(["%d"] * sol.n)
     record = _RECORD % ("%s", "%s", perm, perm)
-    elements = sol.elements
+    elements, cdes, p = sol.elements, sol.cdes, sol.p
     fh.write('{\n "elements": [')
     sep = "\n"
-    for pi, j, image in zip(elements, sol.cdes, sol.p):
-        fh.write(sep + record % (subsets[j] + pi + elements[image]))
+    for start in range(0, len(elements), _BLOCK):
+        stop = start + _BLOCK
+        block = zip(elements[start:stop], cdes[start:stop], p[start:stop])
+        records = [record % (subsets[j] + pi + elements[image]) for pi, j, image in block]
+        fh.write(sep + ",\n".join(records))
         sep = ",\n"
     fh.write("]" if sep == "\n" else "\n ]")  # no element: "elements": []
     counts = sorted(sol.fibers.counts.items())

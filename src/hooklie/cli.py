@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 from . import cdes, characters, lie
@@ -287,6 +288,10 @@ def cmd_construct(args) -> Report:
     folder = os.path.dirname(out_path) or "."  # checked before the class walk
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
         raise UsageError(f"cannot write {out_path}: no writable directory {folder}")
+    if os.path.isdir(out_path):
+        raise UsageError(f"cannot write {out_path}: it is a directory")
+    if os.path.exists(out_path) and not os.access(out_path, os.W_OK):
+        raise UsageError(f"cannot write {out_path}: the file is not writable")
     sol = cdes.construct_extension(mu)
     if isinstance(sol, cdes.Infeasible):
         payload = {
@@ -422,8 +427,9 @@ def suite_gr_fibers(report: Report, n_max: int) -> None:
         bad = []
         for mu in partition_list(n):
             dist = cdes.descent_distribution(mu)
+            mults = characters.schur_multiplicities(mu)  # once per class
             for mask in range(1 << (n - 1)):
-                predicted = cdes.straight_ribbon_fiber(mu, mask)
+                predicted = cdes.straight_ribbon_fiber(mu, mask, mults)
                 if predicted != dist.count(mask):
                     bad.append({"mu": list(mu), "J": subset_list(mask)})
         report.check(
@@ -544,7 +550,10 @@ def cmd_verify(args) -> Report:
 # -- argument parsing and dispatch -------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="hooklie",
         description="Hook constituents of higher Lie characters and cyclic "

@@ -196,7 +196,11 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # would leave fewer lone elements than fixed points still needed (only
     # a lone element can become one).  At i = n - 1 two paths are left, one
     # ending at n - 1 and one at n, so both completions are read off at
-    # once instead of searched two levels deep.
+    # once instead of searched two levels deep.  The free values sit on a
+    # doubly linked list, nxt and prv, with 0 before the first and n + 1
+    # after the last: a value is unlinked when placed and relinked when
+    # undone, always in reverse order, so the scan steps over free values
+    # only.
     n = sum(mu)
     if n == 1:
         yield (1,)
@@ -208,10 +212,11 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     head = list(range(n + 1))  # head[t]: first element of the path ending at t
     tail = list(range(n + 1))  # tail[h]: last element of the path starting at h
     size = [1] * (n + 1)  # size[h]: number of elements on the path starting at h
-    free = [True] * (n + 1)
+    nxt = list(range(1, n + 2))  # nxt[v]: the free value after v; nxt[0] the first
+    prv = list(range(-1, n + 1))  # prv[v]: the free value before v, or 0
     lone = n  # open paths of length 1
     pi = [0] * n
-    i, v = 1, 1  # the position being filled and the next value to try there
+    i, v = 1, 1  # the position being filled and the next free value to try there
     while True:
         h = head[i]
         ln = size[h]
@@ -239,17 +244,16 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             # lone elements a join may use up and still leave enough
             spare = lone - need[1] - (ln == 1)
             while v <= n and not (
-                free[v]
-                and (
-                    need[ln]
-                    if v == h
-                    else ln + size[v] <= longest and spare >= (size[v] == 1)
-                )
+                need[ln]
+                if v == h
+                else ln + size[v] <= longest and spare >= (size[v] == 1)
             ):
-                v += 1
+                v = nxt[v]
         if v <= n:
             pi[i - 1] = v
-            free[v] = False
+            a, b = prv[v], nxt[v]
+            nxt[a] = b
+            prv[b] = a
             if v == h:
                 need[ln] -= 1
                 lone -= ln == 1
@@ -261,14 +265,15 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 tail[h] = t
                 head[t] = h
                 size[h] = ln + size[v]
-            i, v = i + 1, 1
+            i, v = i + 1, nxt[0]
             continue
         # every value at position i is done: undo pi(i - 1), try the next one
         i -= 1
         if not i:
             return
         v = pi[i - 1]
-        free[v] = True
+        nxt[prv[v]] = v
+        prv[nxt[v]] = v
         h = head[i]
         if v == h:
             ln = size[h]
@@ -280,7 +285,7 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             tail[h] = i
             head[tail[v]] = v
             lone += (size[h] == 1) + (size[v] == 1)
-        v += 1
+        v = nxt[v]
 
 
 def descent_set(pi) -> int:
@@ -322,6 +327,10 @@ def rotate_subset(mask: int, n: int) -> int:
 
 
 def subset_elements(mask: int) -> tuple[int, ...]:
+    """The elements of a subset mask, increasing; ValueError on a negative
+    mask, whose shifts never reach 0."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is not a subset")
     out = []
     i = 1
     while mask:

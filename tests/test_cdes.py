@@ -11,6 +11,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from brute_force import (
@@ -511,6 +512,25 @@ def test_write_extension_renders_empty_lists():
     assert '"cdes": [],\n   "des": []' in _dump(identity)
 
 
+@pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 513])
+def test_write_extension_blocks_match_json_dump(size):
+    # the writer joins records in blocks of 256: a prefix of the class of
+    # (6,1) (840 elements) with a cyclic p fills none, one, or some blocks
+    # exactly, one short or one over; not extensions, only writer inputs
+    whole = construct_extension((6, 1))
+    cdes_masks = whole.cdes[:size]
+    sol = CyclicExtensionSolution(
+        (6, 1),
+        7,
+        FiberSolution(7, dict(Counter(cdes_masks))),
+        whole.elements[:size],
+        cdes_masks,
+        tuple((i + 1) % size for i in range(size)),
+    )
+    want = json.dumps(extension_records(sol), sort_keys=True, indent=1)
+    assert _dump(sol) == want
+
+
 class _CharCount:
     """A text sink that keeps only the number of characters written."""
 
@@ -583,6 +603,13 @@ def test_cyclic_composition_rejects_empty():
         cyclic_composition(4, 0)
 
 
+@pytest.mark.parametrize("mask", [-1, -3, 1 << 5, (1 << 5) | 1])
+def test_cyclic_composition_rejects_masks_outside_n(mask):
+    # a negative mask has no finite set of elements to split
+    with pytest.raises(ValueError, match=r"subset of \[5\]"):
+        cyclic_composition(5, mask)
+
+
 def test_affine_fiber_four_cycles():
     mults = schur_multiplicities((4,))
     assert affine_ribbon_fiber((4,), M(1, 2), mults) == 1
@@ -628,6 +655,17 @@ def test_straight_fibers_match_brute_force():
                     mu,
                     tuple(subset_elements(mask)),
                 )
+
+
+def test_straight_fiber_takes_the_expansion_once():
+    # the expansion a caller passes gives what the fiber computes itself
+    for n in range(1, 8):
+        for mu in partition_list(n):
+            mults = schur_multiplicities(mu)
+            for mask in range(1 << (n - 1)):
+                assert straight_ribbon_fiber(mu, mask, mults) == straight_ribbon_fiber(
+                    mu, mask
+                ), (mu, mask)
 
 
 def test_straight_fiber_rejects_out_of_range_mask():

@@ -219,6 +219,32 @@ def test_unwritable_dump_path_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: cannot write extension-3-1.json")
 
 
+def test_dump_path_that_cannot_be_opened_exits_2_before_the_walk(
+    tmp_path, capsys, monkeypatch
+):
+    # an existing directory, or an existing file without write access, is
+    # refused before the class is walked
+    def construct(mu):
+        raise AssertionError("the class was walked")
+
+    monkeypatch.setattr(cdes, "construct_extension", construct)
+    folder = tmp_path / "dump"
+    folder.mkdir()
+    locked = tmp_path / "locked.json"
+    locked.write_text("an earlier dump\n")
+    real_access = os.access
+
+    def access(path, mode):  # the tests may run as root, who may write anything
+        return False if os.fspath(path) == str(locked) else real_access(path, mode)
+
+    monkeypatch.setattr(cli.os, "access", access)
+    for path in (folder, locked):
+        code, out, err = run(["construct", "4,3,1", "--output", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}") and len(err.splitlines()) == 1
+    assert locked.read_text() == "an earlier dump\n"
+
+
 # -- hooks and series reports ------------------------------------------------
 
 
@@ -345,6 +371,16 @@ def test_verify_json_bytes_are_pinned(args, capsys):
     code, out, _ = run(["verify", *args.split(), "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[args]
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    # parsing leaves the shared parser as it was: a second run prints the
+    # same bytes
+    argv = ["construct", "4", "--output", str(tmp_path / "ext.json"), "--format", "json"]
+    first = run(argv, capsys)
+    assert first[0] == 0
+    assert run(argv, capsys)[:2] == first[:2]
 
 
 def test_json_reports_are_deterministic(capsys):

@@ -238,6 +238,13 @@ def test_rotate_subset_moves_elements_up_by_one():
     assert rotate_subset(mask_from_elements((4,)), 4) == mask_from_elements((1,))
 
 
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+def test_subset_elements_rejects_negative_masks(mask):
+    # a negative mask shifts to -1, never to 0, so it has no elements to list
+    with pytest.raises(ValueError, match="not a subset"):
+        subset_elements(mask)
+
+
 def test_mask_round_trip():
     rng = random.Random(7)
     for _ in range(200):
