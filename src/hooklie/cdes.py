@@ -112,6 +112,10 @@ class Infeasible(NamedTuple):
     subset: Optional[Tuple[int, ...]] = None
     note: str = ""
 
+    def count(self, mask: int) -> int:
+        """Refused: there are no cDes fibers to count (not tuple.count)."""
+        raise TypeError(f"no cyclic extension ({self.reason}), so no cDes fiber count")
+
 
 class FiberSolution(NamedTuple):
     """The unique consistent cDes-fiber sizes c_J (nonzero entries only)."""

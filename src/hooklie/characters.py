@@ -27,6 +27,12 @@ The hooks (hook_mults_oracle) read no power-sum coefficient.  The ring map
 phi: p_d -> 1 - (-t)^d sends s_lam to t^k (1 + t) on the hook (n-k, 1^k)
 and to 0 off the hooks, so phi(ch psi^mu) = (1 + t) sum_k m_k t^k, one
 product of polynomials in t over the part sizes of mu (_hook_factor).
+It decides nothing: lie.extension_certificate takes the same hooks of every
+class from the closed rectangle formulas, (1 + t)^(c-1) prod_i N_(i,k_i)(t)
+over the c distinct part sizes, and compares them with this oracle.  Divided
+by 1 + t, that product has non-negative coefficients whenever c >= 2, so
+only a rectangle can lack a cyclic descent extension; acceptance criterion
+14 checks the dichotomy and both routes on every class with n <= 20.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ rows y^0..y^s, built once per r and shared by every consumer (the
 multiplicities, the series, the square-divisibility checks and the hook
 profile); it is rebuilt only when a caller asks for a larger s than it
 holds.  The Witt coefficients are cross-checked against the generic
-Witt transform at every r; the hook multiplicities of every rectangle
-against the character oracle, characters.hook_mults_oracle, which reads
-them off the specialization p_d -> 1 - (-t)^d of Thrall's plethysm and
-shares only divisors, moebius and IntPolynomial with the closed formula.
+Witt transform at every r.  By Thrall, the hook polynomial of any class is
+a product of rectangle formulas (extension_certificate), checked on every
+class against characters.hook_mults_oracle, which reads it off the
+specialization p_d -> 1 - (-t)^d of Thrall's plethysm and shares only
+divisors, moebius and IntPolynomial with the closed formula.
 """
 
 from __future__ import annotations
@@ -252,23 +253,21 @@ def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
 
     d_k is the k-th partial alternating sum of the hook multiplicities;
     an extension exists iff every d_k is non-negative and the full
-    alternating sum d_(n-1) vanishes.  Rectangular classes go through
-    the closed formula, cross-checked against the character oracle;
-    everything else through the oracle.  The oracle is one product of
-    polynomials in t per part size, polynomial in n, so every class is
-    cross-checked or decided with no size gate.
+    alternating sum d_(n-1) vanishes.  Every class takes m from (1 + t)^(c-1)
+    prod_i N_(i,k_i)(t) over its c distinct part sizes i, each k_i times,
+    compared with the character oracle.  For c >= 2, sum_k d_k t^k =
+    (1 + t)^(c-2) prod_i N_(i,k_i)(t) has non-negative coefficients, so an
+    extension exists; for c = 1 it is N_(r,s)/(1 + t), which the square-free
+    dichotomy decides.  Acceptance criterion 14 checks every n <= 20.
     """
     mu = check_class_type(mu)
-    rect = _rectangle(mu)
-    if rect is not None:
-        m = hook_mults(*rect)
-        oracle = characters.hook_mults_oracle(mu)
-        if oracle != m:
-            raise ArithmeticError(
-                f"hook multiplicity routes disagree on {mu}: {m} vs {oracle}"
-            )
-    else:
-        m = characters.hook_mults_oracle(mu)
+    sizes = set(mu)
+    lift = IntPolynomial((1, 1)) ** (len(sizes) - 1)
+    m = math.prod((hook_poly(i, mu.count(i)) for i in sizes), start=lift).coeffs
+    m += (0,) * (sum(mu) - len(m))
+    oracle = characters.hook_mults_oracle(mu)
+    if oracle != m:
+        raise ArithmeticError(f"hook multiplicity routes disagree on {mu}: {m} vs {oracle}")
     return _certificate_from_mults(m)
 
 

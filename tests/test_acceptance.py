@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen exact end-to-end checks, one per test, each
+"""Acceptance gate: fourteen exact end-to-end checks, one per test, each
 printing its own pass/fail line (run with `pytest tests/test_acceptance.py -v -s`
 to see them).
 
@@ -295,4 +295,22 @@ def test_criterion_13_special_hook_polynomials():
         "their closed forms for s <= 5",
         not bad,
         f"mismatches at {bad}" if bad else "",
+    )
+
+
+def test_criterion_14_certificate_dichotomy_on_every_class():
+    # each call also compares the rectangle-product hooks with the oracle
+    classes = [mu for n in range(1, 21) for mu in partition_list(n)]
+    bad = []
+    for mu in classes:
+        rect = lie._rectangle(mu)
+        expected = not (rect is not None and is_squarefree(rect[0]))
+        if isinstance(lie.extension_certificate(mu), tuple) != expected:
+            bad.append(mu)
+    report(
+        14,
+        "a certificate exists iff the class is not a square-free-part "
+        f"rectangle, on all {len(classes)} classes with n <= 20",
+        not bad and len(classes) == 2713,
+        f"mismatches at {bad[:3]}" if bad else "",
     )

@@ -253,6 +253,13 @@ def test_solver_infeasible_examples():
         }
 
 
+def test_infeasible_refuses_count():
+    # a NamedTuple would otherwise answer tuple.count(3) == 0
+    sol = solve_extension(descent_distribution((2, 2)))
+    with pytest.raises(TypeError, match=sol.reason):
+        sol.count(3)
+
+
 def test_solver_feasibility_matches_certificate_dichotomy():
     # rectangle with square-free part size <=> infeasible (scan n <= 10,
     # on Gessel-Reutenauer fibers: no class is walked)

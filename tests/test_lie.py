@@ -264,12 +264,20 @@ def test_certificate_matches_squarefree_dichotomy():
             assert cert_exists == (not is_squarefree(r))
 
 
-def test_certificate_cross_checks_every_rectangle(monkeypatch):
-    # no centralizer size skips the oracle: (1^12) has z = 12!
+def test_certificate_cross_checks_every_class(monkeypatch):
+    # no centralizer size and no class shape skips the oracle: (1^12) has
+    # z = 12!, and non-rectangles are checked like rectangles
     monkeypatch.setattr(
         characters, "hook_mults_oracle", lambda mu: (0,) * sum(mu)
     )
-    for mu in [(1,) * 12, (2,) * 6]:
+    for mu in [
+        (1,) * 12,
+        (2,) * 6,
+        (2, 1),
+        (3, 2, 1),
+        (4, 4, 1),
+        (2, 2, 2, 1, 1, 1, 1, 1, 1),
+    ]:
         with pytest.raises(ArithmeticError):
             extension_certificate(mu)
 

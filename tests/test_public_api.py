@@ -1,7 +1,7 @@
 """The public surface: every name a module lists in __all__ resolves, so
-`from module import *` cannot fail on a stale entry, and the package and
-characters surfaces are pinned, so a deleted name cannot come back
-unnoticed."""
+`from module import *` cannot fail on a stale entry, and the package,
+characters, lie and cdes surfaces are pinned, so a deleted name cannot come
+back unnoticed and a helper cannot become public unnoticed."""
 
 import importlib
 
@@ -68,6 +68,41 @@ PINNED = {
         "hook_mults_oracle",
         "h_pairings",
         "clear_memo",
+    },
+    "hooklie.lie": {
+        "NoExtension",
+        "HookProfile",
+        "SquarefreeReport",
+        "SquareQuotient",
+        "witt_coeffs",
+        "column_row_mults",
+        "hook_mults",
+        "hook_poly",
+        "column_row_series",
+        "extension_certificate",
+        "squarefree_criterion",
+        "quotient_series",
+        "hook_profile",
+        "subset_sum_count",
+    },
+    "hooklie.cdes": {
+        "WALK_LIMIT",
+        "check_walk",
+        "subset_walk",
+        "class_walk",
+        "DescentDistribution",
+        "Infeasible",
+        "FiberSolution",
+        "CyclicExtensionSolution",
+        "descent_distribution",
+        "solve_extension",
+        "construct_extension",
+        "check_axioms",
+        "cellini_closed",
+        "cyclic_composition",
+        "affine_ribbon_fiber",
+        "straight_ribbon_fiber",
+        "write_extension",
     },
 }
 
