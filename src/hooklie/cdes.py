@@ -458,26 +458,26 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
     return total
 
 
-def straight_ribbon_fiber(
-    mu, mask: int, schur_mults: Optional[Dict[tuple, int]] = None
-) -> int:
-    """Size of {pi in the class : Des(pi) = J} predicted from the Schur
-    expansion: sum over lam of the multiplicity of chi^lam times the
-    number of standard tableaux of shape lam with descent set J.
+def _straight_fibers(mu) -> Dict[int, int]:
+    """Nonzero Des-fiber counts of the class by mask of [n-1], predicted
+    from its Schur expansion: sum over lam of <psi^mu, chi^lam> times
+    syt_descent_counts(lam), the standard tableaux of shape lam by Des."""
+    table: Dict[int, int] = {}
+    for lam, m in characters.schur_multiplicities(mu).items():
+        if m:
+            for mask, count in syt_descent_counts(lam).items():
+                table[mask] = table.get(mask, 0) + m * count
+    return table
 
-    J must be a subset of [n-1], and mu a class type.  schur_mults is the
-    class's expansion, characters.schur_multiplicities(mu); a caller that
-    reads many masks of one class passes it, and it is computed here
-    otherwise.
-    """
-    mu = check_class_type(mu)
-    n = sum(mu)
+
+def straight_ribbon_fiber(mu, mask: int) -> int:
+    """Size of {pi in the class : Des(pi) = J} predicted from the Schur
+    expansion, read from the class's whole table (_straight_fibers), built
+    on each call.  J must be a subset of [n-1], and mu a class type."""
+    n = sum(check_class_type(mu))
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")
-    mults = characters.schur_multiplicities(mu) if schur_mults is None else schur_mults
-    return sum(
-        m * syt_descent_counts(lam).get(mask, 0) for lam, m in mults.items() if m
-    )
+    return _straight_fibers(mu).get(mask, 0)
 
 
 # One element record and one fiber record as json.dump(..., sort_keys=True,

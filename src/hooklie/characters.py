@@ -231,9 +231,8 @@ def _adams_factor(i: int, m: int) -> IntPolynomial:
     exact; p_m[.] sends each p_d to p_(md), which under phi is t -> -(-t)^m,
     so every other m twists the signs of phi(Lie_i) and substitutes t^m."""
     if m > 1:
-        sign = 1 if m % 2 else -1
-        lie = _adams_factor(i, 1).coeffs
-        return IntPolynomial(c * sign**j for j, c in enumerate(lie)).substitute_power(m)
+        lie = _adams_factor(i, 1)
+        return (lie if m % 2 else lie.reflect()).substitute_power(m)
     total = IntPolynomial()
     for d in filter(moebius, divisors(i)):
         step = IntPolynomial((1, (-1) ** (d + 1))) ** (i // d)

@@ -484,6 +484,30 @@ def test_failed_exactness_check_exits_1_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_gr_fibers_mismatch_names_the_moved_masks(monkeypatch, capsys):
+    # one unit of the class (2,1,1)'s Des table moved from one mask to another
+    true_distribution = cdes.descent_distribution
+    mu = (2, 1, 1)
+    fibers = dict(true_distribution(mu).fibers)
+    src = min(fibers)
+    dst = next(mask for mask in range(7, -1, -1) if mask != src)
+    fibers[src] -= 1
+    fibers[dst] = fibers.get(dst, 0) + 1
+    tampered = {mask: c for mask, c in fibers.items() if c}
+
+    def moved(nu):
+        dist = true_distribution(nu)
+        return dist._replace(fibers=tampered) if nu == mu else dist
+
+    monkeypatch.setattr(cdes, "descent_distribution", moved)
+    code, doc, _ = run_json(["verify", "gr-fibers", "--n-max", "4"], capsys)
+    assert code == 1
+    failed = [a for a in doc["assertions"] if not a["passed"]]
+    assert [a["name"] for a in failed] == ["descent-fibers-match-schur-expansion-n=4"]
+    named = [{"mu": list(mu), "J": cli.subset_list(mask)} for mask in sorted((src, dst))]
+    assert failed[0]["detail"] == f"{named}"
+
+
 def test_verify_cellini_reports_exactly_two(capsys):
     code, doc, _ = run_json(["verify", "cellini"], capsys)
     assert code == 0

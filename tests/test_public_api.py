@@ -1,7 +1,7 @@
 """The public surface: every name a module lists in __all__ resolves, so
-`from module import *` cannot fail on a stale entry, and the package,
-characters, lie and cdes surfaces are pinned, so a deleted name cannot come
-back unnoticed and a helper cannot become public unnoticed."""
+`from module import *` cannot fail on a stale entry, and every module's
+surface is pinned, so a deleted name cannot come back unnoticed and a
+helper cannot become public unnoticed."""
 
 import importlib
 
@@ -60,6 +60,34 @@ PINNED = {
         "straight_ribbon_fiber",
         "witt_coeffs",
         "witt_transform",
+    },
+    "hooklie.combinat": {
+        "moebius",
+        "is_squarefree",
+        "divisors",
+        "is_partition",
+        "check_class_type",
+        "partition_list",
+        "centralizer_order",
+        "class_size",
+        "cycle_type",
+        "conjugacy_class",
+        "descent_set",
+        "cellini_descent_set",
+        "full_mask",
+        "rotate_subset",
+        "subset_elements",
+        "mask_from_elements",
+        "Tableau",
+        "standard_tableaux",
+        "syt_descent_counts",
+        "kostka_number",
+    },
+    "hooklie.series": {
+        "IntPolynomial",
+        "BiSeries",
+        "witt_transform",
+        "is_unimodal",
     },
     "hooklie.characters": {
         "character_value",
