@@ -94,20 +94,24 @@ def test_class_over_size_limit_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "suite, n_max, route",
     [
-        ("main-theorem", "19", "descent_distribution"),
-        ("cellini", "11", "cellini_closed"),
+        ("main-theorem", "19", "cdes.descent_distribution"),
+        ("cellini", "11", "cdes.cellini_closed"),
         # 2^12 masks times p(13) = 101 shapes, and 3^12 (mask, submask) pairs
-        ("gr-fibers", "13", "descent_distribution"),
-        ("affine-fibers", "12", "descent_distribution"),
+        ("gr-fibers", "13", "cdes.descent_distribution"),
+        ("affine-fibers", "12", "cdes.descent_distribution"),
+        ("kw-identity", "19", "lie.subset_sum_count"),
     ],
+    ids=lambda value: value.rpartition(".")[2],  # a route by its bare name
 )
 def test_verify_scan_over_walk_limit_exits_2_before_scanning(
     suite, n_max, route, monkeypatch, capsys
 ):
-    def no_work(*args):
+    # a suite is a generator, so its refusals must come before its first
+    # yield: the route's first call would raise here
+    def no_work(*args, **kwargs):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr(cdes, route, no_work)
+    monkeypatch.setattr(f"hooklie.{route}", no_work)
     code, out, err = run(["verify", suite, "--n-max", n_max], capsys)
     assert code == 2
     assert out == ""
@@ -354,8 +358,9 @@ def test_hooks_json_bytes_are_pinned(args, capsys):
 
 
 # SHA-256 of the stdout of `hooklie verify <args> --format json` as each
-# suite read and recorded its own bounds; the table of suite bounds must
-# keep every byte.
+# suite read and recorded its own bounds, and of every suite at its default
+# bounds as each recorded its own checks; the table of suite bounds and the
+# one runner of suite checks must keep every byte.
 VERIFY_DIGESTS = {
     "main-theorem --n-max 5": (
         "f3b24a0b00c9fd7261a828b1f3f2a340c59bd0b33d790fe532e7e2706f1a0a54"
@@ -363,6 +368,13 @@ VERIFY_DIGESTS = {
     "squarefree --r-max 6 --s-max 3": (
         "beaf6237717c867c09c88cc8e89c8fb01c6e911691cd5680a8bbafb617041a0d"
     ),
+    "main-theorem": "c4a50cf0232d551e135e9c8bf9fe52532fcd5f82b4437834ddef945037bda9d4",
+    "squarefree": "89383b7df1ef39f14765d66d77890794a94106550b855b620f3c5f81dd05eb52",
+    "unimodality": "c5a4afd8206f94fe38c324f6fb13a6f382faecadbf3654802f29c0e9ff6512b6",
+    "gr-fibers": "41ecbdb17f694778dd71154d07de825db2f79f4f05ba1cfc733e291af59fcce4",
+    "kw-identity": "a07776da961aae3dd04c73dad86e1b90deec6ea6832c5a73bd527da3aee0e6c0",
+    "cellini": "bf5c3ed8f4959ddf5692fbf147007ca6e6b249a013c0c95c95148eabe8a1d1fd",
+    "affine-fibers": "3c2e18af8d103eacc7f22c0c17b5da94452bad83322cf58013501b4ea5c72d83",
 }
 
 
@@ -396,6 +408,25 @@ def test_csv_and_text_formats_render(capsys):
     code, out, _ = run(["hooks", "2", "1", "--format", "text"], capsys)
     assert code == 0
     assert out.startswith("command: hooks")
+
+
+def test_csv_and_text_show_empty_lists_and_dicts(capsys):
+    # csv and text walk the report as json lays it out, so an empty list or
+    # dict is a field of its own, not a missing one
+    code, out, _ = run(["witt", "3", "--coeffs", "0", "--format", "csv"], capsys)
+    assert code == 0
+    rows = out.splitlines()
+    assert "payload.transform,[]" in rows
+    assert "assertions,[]" in rows
+    code, out, _ = run(["verify", "gr-fibers", "--n-max", "2", "--format", "csv"], capsys)
+    assert code == 0
+    assert "payload,{}" in out.splitlines()
+    code, out, _ = run(
+        ["verify", "unimodality", "--r-max", "2", "--s-max", "2", "--format", "text"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[4:6] == ["counterexamples = []", "pairs_scanned = 4"]
 
 
 # -- verify suites through the CLI -------------------------------------------
