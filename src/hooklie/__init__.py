@@ -18,7 +18,6 @@ cli         command line front end (`hooklie`, or `python -m hooklie`)
 
 from .characters import (
     character_value,
-    higher_lie_character,
     hook_mults_oracle,
     schur_multiplicities,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "descent_distribution",
     "descent_set",
     "extension_certificate",
-    "higher_lie_character",
     "hook_mults",
     "hook_mults_oracle",
     "hook_poly",

@@ -15,9 +15,9 @@ denominator: psi^mu is induced from a linear character of the centralizer,
 whose order is z_mu, and [p_(1^n)] ch psi^mu = 1/z_mu.  No group element
 is enumerated and no fraction is formed.
 
-Every other quantity is one exact pairing of that expansion with a column
-of values in nu, divided by den and checked to be an integer:
-  higher_lie_character  psi^mu(nu) = z_nu [p_nu] ch psi^mu;
+Both readers of that expansion are one exact pairing of it with a column
+of values in nu, in one loop (_pairings), divided by den and checked to be
+an integer >= 0:
   schur_multiplicities  <psi^mu, chi^lam> = sum_nu [p_nu] ch psi^mu chi^lam(nu);
   h_pairings            <ch psi^mu, h_lam> = sum_nu [p_nu] ch psi^mu R(nu, lam),
                         the class elements counted by descent set
@@ -55,7 +55,6 @@ from .series import IntPolynomial
 
 __all__ = [
     "character_value",
-    "higher_lie_character",
     "schur_multiplicities",
     "hook_mults_oracle",
     "h_pairings",
@@ -168,34 +167,28 @@ def _frobenius(mu: Tuple[int, ...]) -> Tuple[int, tuple]:
     return centralizer_order(mu), tuple(ch.items())
 
 
-def _count(acc: int, den: int, what: str, *args) -> int:
+def _count(acc: int, den: int, what: str, mu: tuple, lam: tuple) -> int:
     """acc / den, refused with ArithmeticError unless an integer >= 0; the
-    message names the quantity as what % args and its value as a reduced
-    fraction, formatted only then."""
+    message names the quantity as what formatted with mu and lam and its
+    value as a reduced fraction, formatted only then."""
     if acc % den or acc < 0:
         g = math.gcd(acc, den)
         value = f"{acc // g}" if g == den else f"{acc // g}/{den // g}"
-        raise ArithmeticError(f"{what % args} is {value}, not a count")
+        raise ArithmeticError(f"{what.format(mu=mu, lam=lam)} is {value}, not a count")
     return acc // den
 
 
-def higher_lie_character(mu) -> Dict[Tuple[int, ...], int]:
-    """The character psi^mu induced from the defining linear character of
-    the centralizer of the class mu, as {nu: psi^mu(nu)} over every
-    partition nu of n; values are exact integers.
-
-    psi^mu(nu) = z_nu [p_nu] ch psi^mu, read off Thrall's plethysm, so
-    nothing is enumerated; a non-integral value raises ArithmeticError.
-    """
+def _pairings(mu, column, what: str) -> Dict[Tuple[int, ...], int]:
+    """{lam: sum over nu of [p_nu] ch psi^mu * column(nu)[lam]} over every
+    lam |- n, one column per nonzero coefficient, each pairing checked by
+    _count to be an integer >= 0; what names it, formatted with mu and lam."""
     mu = check_class_type(mu)
+    lams = partition_list(sum(mu))
     den, terms = _frobenius(mu)
-    values = dict.fromkeys(partition_list(sum(mu)), 0)
+    acc = [0] * len(lams)
     for nu, c in terms:
-        v, rem = divmod(c * centralizer_order(nu), den)
-        if rem:
-            raise ArithmeticError(f"non-integral induced value at {nu}")
-        values[nu] = v
-    return values
+        acc = list(map(add, acc, map(mul, column(nu, lams), repeat(c))))
+    return {lam: _count(a, den, what, mu, lam) for lam, a in zip(lams, acc)}
 
 
 def schur_multiplicities(mu) -> Dict[Tuple[int, ...], int]:
@@ -203,18 +196,11 @@ def schur_multiplicities(mu) -> Dict[Tuple[int, ...], int]:
     character of mu: <psi^mu, chi^lam> = sum over nu of [p_nu] ch psi^mu *
     chi^lam(nu), over the nonzero coefficients only.  Each must be an
     integer >= 0; ArithmeticError otherwise."""
-    mu = check_class_type(mu)
-    den, terms = _frobenius(mu)
-    return {
-        lam: _count(
-            sum(c * _mn(lam, nu) for nu, c in terms),
-            den,
-            "multiplicity of %s in psi^%s",
-            lam,
-            mu,
-        )
-        for lam in partition_list(sum(mu))
-    }
+    return _pairings(
+        mu,
+        lambda nu, lams: [_mn(lam, nu) for lam in lams],
+        "multiplicity of {lam} in psi^{mu}",
+    )
 
 
 def _divide(f: IntPolynomial, q: IntPolynomial, what: str) -> IntPolynomial:
@@ -318,24 +304,16 @@ def _r_rows(n: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
 
 def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
     """<ch psi^mu, h_lam> for every lam |- n, as sum over nu of
-    [p_nu] ch psi^mu * R(nu, lam), accumulated one row of R per nu.
+    [p_nu] ch psi^mu * R(nu, lam), one row of R per nu.
 
     By Gessel and Reutenauer (JCTA 64, 1993), this counts the elements of
     the class of mu whose descent set lies inside any S with composition
     alpha(S) a rearrangement of lam.  Each pairing is checked to be an
     integer >= 0; ArithmeticError otherwise.
     """
-    mu = check_class_type(mu)
-    n = sum(mu)
-    den, terms = _frobenius(mu)
-    rows = _r_rows(n)
-    acc = [0] * len(rows)
-    for nu, c in terms:
-        acc = list(map(add, acc, map(mul, rows[nu], repeat(c))))
-    return {
-        lam: _count(a, den, "<ch psi^%s, h_%s>", mu, lam)
-        for lam, a in zip(partition_list(n), acc)
-    }
+    return _pairings(
+        mu, lambda nu, lams: _r_rows(sum(nu))[nu], "<ch psi^{mu}, h_{lam}>"
+    )
 
 
 def clear_memo() -> None:

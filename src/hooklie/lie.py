@@ -5,7 +5,9 @@ the column-plus-row multiplicities e_i come from one exact product over
 part sizes with parity-twisted binomial coefficients, the hook
 multiplicities m_k are their partial alternating sums, and the
 certificate d_k decides whether the class carries a cyclic descent
-extension.  The column-plus-row numbers of each r live in one table of
+extension.  Each division by 1 + t is one routine (_alternating_sums),
+q_k = a_k - q_(k-1) with the remainder last: m from e, d from m, and twice
+for each test of (1+x)^2 on a column-row row or the Witt polynomial.  The column-plus-row numbers of each r live in one table of
 rows y^0..y^s, built once per r and shared by every consumer (the
 multiplicities, the series, the square-divisibility checks and the hook
 profile); it is rebuilt only when a caller asks for a larger s than it
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import characters
@@ -181,25 +183,26 @@ def column_row_mults(r: int, s: int) -> Tuple[int, ...]:
     return e + (0,) * (r * s + 1 - len(e))
 
 
+def _alternating_sums(a) -> Tuple[int, ...]:
+    """Partial alternating sums q_k = a_k - q_(k-1): the quotient of
+    sum_k a_k t^k by 1 + t, with the remainder, zero iff 1 + t divides,
+    as the last entry."""
+    return tuple(accumulate(a, lambda q, v: v - q))
+
+
 @lru_cache(maxsize=None)
 def hook_mults(r: int, s: int) -> Tuple[int, ...]:
     """Hook multiplicities m_0..m_(rs-1) of the class (r^s): partial
     alternating sums of the column-plus-row multiplicities.
 
     A negative partial sum or a nonzero full alternating sum would
-    contradict character positivity and raises immediately.
+    contradict character positivity and raises, the first in order.
     """
-    e = column_row_mults(r, s)
-    n = r * s
-    m = []
-    prev = 0
-    for k in range(n):
-        cur = e[k] - prev
-        if cur < 0:
-            raise ArithmeticError(f"negative hook multiplicity m_{k} at (r,s)=({r},{s})")
-        m.append(cur)
-        prev = cur
-    if e[n] - prev != 0:
+    *m, rem = _alternating_sums(column_row_mults(r, s))
+    k = next((k for k, v in enumerate(m) if v < 0), None)
+    if k is not None:
+        raise ArithmeticError(f"negative hook multiplicity m_{k} at (r,s)=({r},{s})")
+    if rem != 0:
         raise ArithmeticError(f"alternating sum of e is nonzero at (r,s)=({r},{s})")
     return tuple(m)
 
@@ -231,19 +234,12 @@ def _rectangle(mu: tuple) -> Optional[Tuple[int, int]]:
 
 
 def _certificate_from_mults(m: Tuple[int, ...]) -> Union[Tuple[int, ...], NoExtension]:
-    n = len(m)
-    d = []
-    prev = 0
-    for k in range(n):
-        cur = m[k] - prev
-        if k == n - 1:
-            if cur != 0:
-                return NoExtension("alternating-sum-nonzero", n - 1)
-        else:
-            if cur < 0:
-                return NoExtension("negative-partial-sum", k)
-            d.append(cur)
-        prev = cur
+    *d, rem = _alternating_sums(m)
+    k = next((k for k, v in enumerate(d) if v < 0), None)
+    if k is not None:
+        return NoExtension("negative-partial-sum", k)
+    if rem != 0:
+        return NoExtension("alternating-sum-nonzero", len(m) - 1)
     return tuple(d)
 
 
@@ -271,6 +267,14 @@ def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
     return _certificate_from_mults(m)
 
 
+def _square_quotient(a) -> Optional[IntPolynomial]:
+    """The quotient of sum_k a_k x^k by (1+x)^2, or None when it does not
+    divide: two divisions by 1 + x, whose last two entries are both zero
+    iff both remainders are."""
+    q = _alternating_sums(_alternating_sums(a))
+    return None if any(q[-2:]) else IntPolynomial(q[:-2])
+
+
 class SquarefreeReport(NamedTuple):
     """Divisibility of each y-coefficient of the generating series by
     (1+x)^2, plus the first-moment identity of the Witt coefficients."""
@@ -295,11 +299,8 @@ def squarefree_criterion(r: int, s_max: int) -> SquarefreeReport:
     moment = sum((j * fj if j % 2 else -j * fj) for j, fj in enumerate(f))
     if moment != moebius(r):
         raise ArithmeticError(f"moment identity fails at r={r}: {moment}")
-    series = column_row_series(r, s_max)
-    square = IntPolynomial((1, 2, 1))
-    divisible = tuple(
-        series.coeff(s).divide_exact(square) is not None for s in range(1, s_max + 1)
-    )
+    rows = _column_rows(r, s_max)[1 : s_max + 1]
+    divisible = tuple(_square_quotient(row) is not None for row in rows)
     return SquarefreeReport(r, s_max, is_squarefree(r), divisible, moment)
 
 
@@ -322,18 +323,15 @@ def quotient_series(r: int, s_max: int) -> Optional[SquareQuotient]:
         raise ValueError("need r >= 1 and s_max >= 1")
     if is_squarefree(r):
         return None
-    square = IntPolynomial((1, 2, 1))
-    series = column_row_series(r, s_max)
     polys = [IntPolynomial()]  # [y^0](series - 1) = 0
-    for s in range(1, s_max + 1):
-        q = series.coeff(s).divide_exact(square)
+    for s, row in enumerate(_column_rows(r, s_max)[1 : s_max + 1], 1):
+        q = _square_quotient(row)
         if q is None:
             raise ArithmeticError(f"(1+x)^2 does not divide [y^{s}] at r={r}")
         if any(c < 0 for c in q.coeffs):
             raise ArithmeticError(f"negative quotient coefficient at r={r}, s={s}")
         polys.append(q)
-    fpoly = IntPolynomial(witt_coeffs(r))
-    g = fpoly.divide_exact(square)
+    g = _square_quotient(witt_coeffs(r))
     if g is None:
         raise ArithmeticError(f"(1+x)^2 does not divide the Witt polynomial at r={r}")
     if any(c < 0 for c in g.coeffs):

@@ -14,6 +14,12 @@ denominator of its coefficients; it is the reference for the integer
 expansion of hooklie.characters._frobenius, which takes z_mu as that
 denominator without computing one.
 
+h_pairings_by_necklaces counts, for every lam, the multisets of primitive
+necklaces with lengths mu and total content lam, which is <ch psi^mu,
+h_lam> (Gessel and Reutenauer, JCTA 64, 1993); it is the reference for
+hooklie.characters.h_pairings and reads neither Thrall's plethysm nor any
+character value.
+
 descent_distribution_by_enumeration walks the conjugacy class and counts
 each descent set; it is the reference for the Gessel-Reutenauer route of
 hooklie.cdes.descent_distribution, and costs the class size.
@@ -43,6 +49,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from operator import add
 from typing import Dict, Iterator, Tuple
 
 from hooklie.cdes import DescentDistribution, FiberSolution, Infeasible
@@ -196,6 +203,63 @@ def frobenius_over_fractions(mu) -> Tuple[int, Dict[tuple, int]]:
         ch = _fraction_ps_mul(ch, {key: c for key, c in h.items() if c})
     den = math.lcm(*(c.denominator for c in ch.values()))
     return den, {nu: c.numerator * (den // c.denominator) for nu, c in ch.items()}
+
+
+def _primitive_necklaces(beta: tuple[int, ...]) -> int:
+    """Primitive necklaces (aperiodic words up to rotation) of content beta:
+    (1/|beta|) sum over d | gcd(beta) of moebius(d) (|beta|/d)! / prod_j
+    (beta_j/d)!."""
+    size = sum(beta)
+    total = 0
+    for d in divisors(math.gcd(*beta)):
+        words = math.factorial(size // d)
+        for b in beta:
+            words //= math.factorial(b // d)
+        total += moebius(d) * words
+    if total % size:
+        raise ArithmeticError(f"necklace count not integral at {beta}")
+    return total // size
+
+
+def h_pairings_by_necklaces(mu) -> Dict[tuple, int]:
+    """{lam: multisets of primitive necklaces with lengths mu and total
+    content lam} over every lam |- n.  For each part size i, with k parts
+    of mu, the multisets of k necklaces of length i are counted by content
+    vector e <= lam, one content beta of size i at a time: t of its N
+    necklaces, with repetition, in C(N + t - 1, t) ways.  The part sizes are
+    then combined by adding contents."""
+    mu = tuple(mu)
+    out = {}
+    for lam in partition_list(sum(mu)):
+
+        def fits(e):
+            return all(map(int.__le__, e, lam))
+
+        zero = (0,) * len(lam)
+        total = {zero: 1}
+        for i in sorted(set(mu)):
+            k = mu.count(i)
+            layers = [{zero: 1}] + [{} for _ in range(k)]  # by necklaces taken
+            for beta in product(*(range(min(p, i) + 1) for p in lam)):
+                if sum(beta) != i:
+                    continue
+                count = _primitive_necklaces(beta)
+                for j in range(k, 0, -1):
+                    for t in range(1, j + 1):
+                        ways = math.comb(count + t - 1, t)
+                        for e, c in layers[j - t].items():
+                            f = tuple(x + t * b for x, b in zip(e, beta))
+                            if fits(f):
+                                layers[j][f] = layers[j].get(f, 0) + ways * c
+            merged: dict = {}
+            for e, c in total.items():
+                for f, c2 in layers[k].items():
+                    g = tuple(map(add, e, f))
+                    if fits(g):
+                        merged[g] = merged.get(g, 0) + c * c2
+            total = merged
+        out[lam] = total.get(lam, 0)
+    return out
 
 
 def descent_distribution_by_enumeration(mu) -> DescentDistribution:

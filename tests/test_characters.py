@@ -13,14 +13,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import frobenius_over_fractions, higher_lie_by_enumeration
+from brute_force import (
+    frobenius_over_fractions,
+    h_pairings_by_necklaces,
+    higher_lie_by_enumeration,
+)
 
 from hooklie import characters
 from hooklie.characters import (
     _drop_count,
     character_value,
     h_pairings,
-    higher_lie_character,
     hook_mults_oracle,
     schur_multiplicities,
 )
@@ -106,11 +109,23 @@ def test_column_orthogonality():
 # -- induced characters from centralizers ------------------------------------
 
 
+def higher_lie_values(mu):
+    """psi^mu(nu) = z_nu c_nu / den on every class nu, read off the scaled
+    expansion (den, ((nu, c_nu), ...)) of characters._frobenius; each value
+    must be an integer."""
+    den, terms = characters._frobenius(mu)
+    values = dict.fromkeys(partition_list(sum(mu)), 0)
+    for nu, c in terms:
+        values[nu], rem = divmod(c * centralizer_order(nu), den)
+        assert rem == 0, (mu, nu)
+    return values
+
+
 def test_higher_lie_of_identity_class_is_trivial():
     # the centralizer of the identity is all of S_n and the rotation
     # eigenvalue is 1, so the induced character is the trivial one
     for n in range(1, 7):
-        psi = higher_lie_character((1,) * n)
+        psi = higher_lie_values((1,) * n)
         assert psi == dict.fromkeys(partition_list(n), 1)
 
 
@@ -121,7 +136,7 @@ def test_higher_lie_matches_brute_force():
     for n in range(1, 13):
         for mu in partition_list(n):
             if centralizer_order(mu) <= 10**4:
-                assert higher_lie_character(mu) == higher_lie_by_enumeration(mu), mu
+                assert higher_lie_values(mu) == higher_lie_by_enumeration(mu), mu
                 checked += 1
     assert checked == 250
 
@@ -129,7 +144,7 @@ def test_higher_lie_matches_brute_force():
 def test_higher_lie_values_are_integers():
     for n in range(1, 7):
         for mu in partition_list(n):
-            psi = higher_lie_character(mu)
+            psi = higher_lie_values(mu)
             assert set(psi) == set(partition_list(n))
             assert all(isinstance(v, int) for v in psi.values())
 
@@ -139,7 +154,7 @@ def test_higher_lie_degree():
     # weight 1 at identity...): the induced degree is [S_n : C_mu] = |K|
     for n in range(1, 11):
         for mu in partition_list(n):
-            psi = higher_lie_character(mu)
+            psi = higher_lie_values(mu)
             assert psi[(1,) * n] == class_size(mu)
 
 
@@ -148,7 +163,7 @@ def test_higher_lie_sum_is_regular_character():
     for n in range(1, 7):
         total = {}
         for mu in partition_list(n):
-            psi = higher_lie_character(mu)
+            psi = higher_lie_values(mu)
             for k, v in psi.items():
                 total[k] = total.get(k, 0) + v
         ident = (1,) * n
@@ -176,7 +191,7 @@ def test_schur_expansion_reproduces_higher_lie_character():
         shapes = partition_list(n)
         for mu in shapes:
             mults = schur_multiplicities(mu)
-            psi = higher_lie_character(mu)
+            psi = higher_lie_values(mu)
             for nu in shapes:
                 got = sum(m * character_value(lam, nu) for lam, m in mults.items())
                 assert got == psi[nu], (mu, nu)
@@ -253,11 +268,23 @@ def test_h_pairings_transpositions_of_s3():
     assert h_pairings((2, 1)) == {(3,): 0, (2, 1): 1, (1, 1, 1): 3}
 
 
+def test_h_pairings_count_necklace_multisets():
+    # Gessel-Reutenauer's necklaces against the pairing of Thrall's plethysm
+    # with the R rows, on every pair (mu, lam) with n <= 9
+    checked = 0
+    for n in range(1, 10):
+        for mu in partition_list(n):
+            got = h_pairings(mu)
+            assert got == h_pairings_by_necklaces(mu), mu
+            checked += len(got)
+    assert checked == 1818
+
+
 def test_h_pairings_refuse_non_counts(monkeypatch):
     # a doctored expansion, in _frobenius's scaled form (den, ((nu, c), ...)):
     # ch = p_1^2 / 3 gives 1/3 and 2/3 where integers are due
     monkeypatch.setattr(characters, "_frobenius", lambda mu: (3, (((1, 1), 1),)))
-    for reader in (h_pairings, schur_multiplicities, higher_lie_character):
+    for reader in (h_pairings, schur_multiplicities):
         with pytest.raises(ArithmeticError):
             reader((1, 1))
     # ch = -p_1^2 gives integral values, but negative counts
@@ -265,7 +292,6 @@ def test_h_pairings_refuse_non_counts(monkeypatch):
     for reader in (h_pairings, schur_multiplicities):
         with pytest.raises(ArithmeticError):
             reader((1, 1))
-    assert higher_lie_character((1, 1)) == {(2,): 0, (1, 1): -2}
 
 
 def test_frobenius_is_scaled_to_lowest_integers():

@@ -12,9 +12,9 @@ import random
 import pytest
 from brute_force import restricted_partitions
 
-from hooklie import characters, lie
+from hooklie import cdes, characters, lie
 from hooklie.characters import hook_mults_oracle
-from hooklie.combinat import is_squarefree, moebius
+from hooklie.combinat import is_squarefree, moebius, partition_list
 from hooklie.lie import (
     NoExtension,
     column_row_mults,
@@ -280,6 +280,51 @@ def test_certificate_cross_checks_every_class(monkeypatch):
     ]:
         with pytest.raises(ArithmeticError):
             extension_certificate(mu)
+
+
+def test_certificate_reports_the_first_violation():
+    # d = m_0, m_1 - m_0, ...: a negative partial sum at k is named before a
+    # nonzero full alternating sum, which is named only when alone
+    m = (1, 0, 3, 5)  # d = (1, -1, 4, 1)
+    assert lie._certificate_from_mults(m) == NoExtension("negative-partial-sum", 1)
+    m = (0, 1, 2, 2, 1)  # d = (0, 1, 1, 1, 0), then a nonzero total
+    assert lie._certificate_from_mults(m + (1,)) == NoExtension(
+        "alternating-sum-nonzero", 5
+    )
+    assert lie._certificate_from_mults(m) == (0, 1, 1, 1)
+
+
+def test_hook_mults_reports_the_first_violation(monkeypatch):
+    # e = (1, 0, 3, 5) gives m = (1, -1, 4) and a nonzero total: the
+    # negative m_1 is named; unwrapped, so no doctored entry is memoized
+    at = r" at \(r,s\)=\(1,3\)$"
+    monkeypatch.setattr(lie, "column_row_mults", lambda r, s: (1, 0, 3, 5))
+    with pytest.raises(ArithmeticError, match=r"^negative hook multiplicity m_1" + at):
+        hook_mults.__wrapped__(1, 3)
+    monkeypatch.setattr(lie, "column_row_mults", lambda r, s: (1, 2, 3, 5))
+    with pytest.raises(ArithmeticError, match=r"^alternating sum of e is nonzero" + at):
+        hook_mults.__wrapped__(1, 3)
+
+
+def test_hook_theorem_by_three_routes():
+    # on every class with n <= 14: the specialization of Thrall's product,
+    # the closed product (1 + t)^(c-1) prod_i N_(i,k_i)(t), and the Des fiber
+    # of the initial segment {1, ..., k}, the descent set of exactly one
+    # standard tableau, of the hook (n-k, 1^k), and of no other shape
+    checked = 0
+    for n in range(1, 15):
+        for mu in partition_list(n):
+            sizes = set(mu)
+            closed = math.prod(
+                (hook_poly(i, mu.count(i)) for i in sizes),
+                start=ONE_PLUS_X ** (len(sizes) - 1),
+            ).coeffs
+            closed += (0,) * (n - len(closed))
+            dist = cdes.descent_distribution(mu)
+            fibers = tuple(dist.count(2**k - 1) for k in range(n))
+            assert hook_mults_oracle(mu) == closed == fibers, mu
+            checked += 1
+    assert checked == 507
 
 
 def test_certificate_reaches_large_rectangles():

@@ -46,7 +46,6 @@ PINNED = {
         "descent_distribution",
         "descent_set",
         "extension_certificate",
-        "higher_lie_character",
         "hook_mults",
         "hook_mults_oracle",
         "hook_poly",
@@ -91,7 +90,6 @@ PINNED = {
     },
     "hooklie.characters": {
         "character_value",
-        "higher_lie_character",
         "schur_multiplicities",
         "hook_mults_oracle",
         "h_pairings",
