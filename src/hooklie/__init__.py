@@ -46,7 +46,6 @@ from .lie import (
     extension_certificate,
     hook_mults,
     hook_poly,
-    hook_profile,
     quotient_series,
     squarefree_criterion,
     witt_coeffs,
@@ -76,7 +75,6 @@ __all__ = [
     "hook_mults",
     "hook_mults_oracle",
     "hook_poly",
-    "hook_profile",
     "kostka_number",
     "quotient_series",
     "schur_multiplicities",

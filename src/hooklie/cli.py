@@ -197,27 +197,27 @@ def no_extension_payload(cert) -> dict:
 
 def cmd_hooks(args) -> Report:
     r, s = args.r, args.s
-    report = Report("hooks", {"r": r, "s": s}, {})
-    profile = lie.hook_profile(r, s)
-    npoly = lie.hook_poly(r, s)
+    witt = lie.witt_coeffs(r)
+    column_row = lie.column_row_mults(r, s)
+    hooks = lie.hook_mults(r, s)
+    cert = lie.extension_certificate((r,) * s)
     payload = {
-        "n": profile.n,
-        "witt": coeff_table(profile.witt),
-        "column_row": coeff_table(profile.column_row),
-        "hooks": coeff_table(profile.hooks),
-        "hook_poly": npoly.pretty(),
+        "n": r * s,
+        "witt": coeff_table(witt),
+        "column_row": coeff_table(column_row),
+        "hooks": coeff_table(hooks),
+        "hook_poly": IntPolynomial(hooks).pretty(),
     }
-    if isinstance(profile.certificate, lie.NoExtension):
+    # cert is N_(r,s)/(1+x), or a NoExtension when 1 + x does not divide it
+    if isinstance(cert, lie.NoExtension):
         payload["certificate"] = None
-        payload["no_extension"] = no_extension_payload(profile.certificate)
+        payload["no_extension"] = no_extension_payload(cert)
+        payload["hook_poly_factored"] = None
     else:
-        payload["certificate"] = coeff_table(profile.certificate)
-    quotient = npoly.divide_exact(IntPolynomial((1, 1)))
-    payload["hook_poly_factored"] = (
-        {"factor": "1+x", "quotient": quotient.pretty()} if quotient is not None else None
-    )
-    report.payload = payload
-    return report
+        payload["certificate"] = coeff_table(cert)
+        quotient = IntPolynomial(cert).pretty()
+        payload["hook_poly_factored"] = {"factor": "1+x", "quotient": quotient}
+    return Report("hooks", {"r": r, "s": s}, payload)
 
 
 def cmd_series(args) -> Report:
@@ -285,6 +285,8 @@ def cmd_cellini(args) -> Report:
 def cmd_construct(args) -> Report:
     mu = parse_partition(args.mu)
     report = Report("construct", {"mu": list(mu)}, {})
+    if args.output == "":
+        raise UsageError("cannot write to an empty --output path")
     out_path = args.output or f"extension-{'-'.join(map(str, mu))}.json"
     folder = os.path.dirname(out_path) or "."  # checked before the class walk
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):

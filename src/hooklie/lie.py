@@ -7,14 +7,15 @@ multiplicities m_k are their partial alternating sums, and the
 certificate d_k decides whether the class carries a cyclic descent
 extension.  Each division by 1 + t is one routine (_alternating_sums),
 q_k = a_k - q_(k-1) with the remainder last: m from e, d from m, and twice
-for each test of (1+x)^2 on a column-row row or the Witt polynomial.  The column-plus-row numbers of each r live in one table of
-rows y^0..y^s, built once per r and shared by every consumer (the
-multiplicities, the series, the square-divisibility checks and the hook
-profile); it is rebuilt only when a caller asks for a larger s than it
-holds.  The Witt coefficients are cross-checked against the generic
-Witt transform at every r.  By Thrall, the hook polynomial of any class is
-a product of rectangle formulas (extension_certificate), checked on every
-class against characters.hook_mults_oracle, which reads it off the
+for each test of (1+x)^2 on a column-row row or the Witt polynomial.
+The column-plus-row numbers of each r live in one table of rows
+y^0..y^s, built once per r and shared by every consumer (the
+multiplicities, the series and the square-divisibility checks); it is
+rebuilt only when a caller asks for a larger s than it holds.  The Witt
+coefficients are cross-checked against the generic Witt transform at
+every r.  By Thrall, the hook polynomial of any class is a product of
+rectangle formulas (extension_certificate), checked on every class against
+characters.hook_mults_oracle, which reads it off the
 specialization p_d -> 1 - (-t)^d of Thrall's plethysm and shares only
 divisors, moebius and IntPolynomial with the closed formula.
 """
@@ -32,7 +33,6 @@ from .series import BiSeries, IntPolynomial, witt_transform
 
 __all__ = [
     "NoExtension",
-    "HookProfile",
     "SquarefreeReport",
     "SquareQuotient",
     "witt_coeffs",
@@ -43,7 +43,6 @@ __all__ = [
     "extension_certificate",
     "squarefree_criterion",
     "quotient_series",
-    "hook_profile",
     "subset_sum_count",
 ]
 
@@ -218,8 +217,8 @@ def column_row_series(r: int, s_max: int) -> BiSeries:
     Product over part sizes j of (1 - (-1)^j x^j y) to the power
     (-1)^(j+1) f_j, truncated after y^s_max and exact in x.  The rows come
     from the one column-row table of r that column_row_mults,
-    squarefree_criterion, quotient_series and hook_profile also read; it
-    is built once per r and rebuilt only for a larger s_max than it holds.
+    squarefree_criterion and quotient_series also read; it is built once
+    per r and rebuilt only for a larger s_max than it holds.
     """
     if r < 1 or s_max < 0:
         raise ValueError("need r >= 1 and s_max >= 0")
@@ -337,25 +336,6 @@ def quotient_series(r: int, s_max: int) -> Optional[SquareQuotient]:
     if any(c < 0 for c in g.coeffs):
         raise ArithmeticError(f"negative Witt quotient coefficient at r={r}")
     return SquareQuotient(BiSeries(s_max, polys), g)
-
-
-class HookProfile(NamedTuple):
-    """Everything the closed formulas say about the class (r^s)."""
-
-    r: int
-    s: int
-    n: int
-    witt: Tuple[int, ...]
-    column_row: Tuple[int, ...]
-    hooks: Tuple[int, ...]
-    certificate: Union[Tuple[int, ...], NoExtension]
-
-
-def hook_profile(r: int, s: int) -> HookProfile:
-    f = witt_coeffs(r)
-    e = column_row_mults(r, s)
-    m = hook_mults(r, s)
-    return HookProfile(r, s, r * s, f, e, m, extension_certificate((r,) * s))
 
 
 def subset_sum_count(n: int, k: int, include_n: bool = False) -> int:

@@ -249,6 +249,19 @@ def test_dump_path_that_cannot_be_opened_exits_2_before_the_walk(
     assert locked.read_text() == "an earlier dump\n"
 
 
+
+def test_empty_dump_path_exits_2_before_the_walk(tmp_path, capsys, monkeypatch):
+    # an empty --output is refused, not read as "no flag"
+    def construct(mu):
+        raise AssertionError("the class was walked")
+
+    monkeypatch.setattr(cdes, "construct_extension", construct)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["construct", "3,1", "--output", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write to an empty --output path\n"
+    assert os.listdir(tmp_path) == []
+
 # -- hooks and series reports ------------------------------------------------
 
 
@@ -316,6 +329,12 @@ def test_witt_reflect(capsys):
     reflected = {row["k"]: row["value"] for row in doc["payload"]["reflected"]}
     assert reflected == {0: "0", 1: "1", 2: "3", 3: "3", 4: "2", 5: "1"}
 
+
+
+def test_witt_unparsable_coefficients_exit_2(capsys):
+    code, out, err = run(["witt", "3", "--coeffs", "1,x"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse coefficients '1,x'\n"
 
 # SHA-256 of the stdout of `hooklie witt <args> --format json` as the
 # schoolbook product and power wrote it; the Kronecker kernel must keep
@@ -538,6 +557,97 @@ def test_gr_fibers_mismatch_names_the_moved_masks(monkeypatch, capsys):
     named = [{"mu": list(mu), "J": cli.subset_list(mask)} for mask in sorted((src, dst))]
     assert failed[0]["detail"] == f"{named}"
 
+
+
+def failed_assertions(argv, capsys) -> dict:
+    """{name: detail} of the failed assertions of a verify run that exits 1."""
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 1
+    return {a["name"]: a["detail"] for a in doc["assertions"] if not a["passed"]}
+
+
+def test_main_theorem_mismatch_names_the_class(monkeypatch, capsys):
+    true_solve = cdes.solve_extension
+    target = cdes.descent_distribution((3, 1))
+
+    def wrong(dist):
+        return cdes.Infeasible("negative-count") if dist == target else true_solve(dist)
+
+    monkeypatch.setattr(cdes, "solve_extension", wrong)
+    failed = failed_assertions(["verify", "main-theorem", "--n-max", "5"], capsys)
+    assert failed == {
+        "feasibility-matches-squarefree-rectangle-characterization-n=4": "[[3, 1]]"
+    }
+
+
+def test_squarefree_suite_reports_each_failure(monkeypatch, capsys):
+    argv = ["verify", "squarefree", "--r-max", "8", "--s-max", "3"]
+    true_criterion = lie.squarefree_criterion
+    true_quotient = lie.quotient_series
+
+    def raising_at_4(route):
+        def doctored(r, s_max):
+            if r == 4:
+                raise ArithmeticError("doctored")
+            return route(r, s_max)
+
+        return doctored
+
+    monkeypatch.setattr(lie, "squarefree_criterion", raising_at_4(true_criterion))
+    failed = failed_assertions(argv, capsys)
+    assert failed == {"moment-equals-moebius": "[{'r': 4, 'error': 'doctored'}]"}
+
+    def flipped_at_6(r, s_max):
+        crit = true_criterion(r, s_max)
+        if r == 6:
+            crit = crit._replace(divisible=tuple(not d for d in crit.divisible))
+        return crit
+
+    monkeypatch.setattr(lie, "squarefree_criterion", flipped_at_6)
+    failed = failed_assertions(argv, capsys)
+    detail = "[{'r': 6, 'divisible': [True, True, True]}]"
+    assert failed == {"divisible-by-(1+x)^2-iff-square-factor": detail}
+
+    monkeypatch.setattr(lie, "squarefree_criterion", true_criterion)
+    monkeypatch.setattr(lie, "quotient_series", raising_at_4(true_quotient))
+    failed = failed_assertions(argv, capsys)
+    assert failed == {"square-quotients-nonnegative": "[{'r': 4, 'error': 'doctored'}]"}
+
+
+def test_kw_identity_mismatch_names_n_and_k(monkeypatch, capsys):
+    true_count = lie.subset_sum_count
+
+    def off_by_one(n, k, include_n=False):
+        return true_count(n, k, include_n) + ((n, k) == (5, 2))
+
+    monkeypatch.setattr(lie, "subset_sum_count", off_by_one)
+    failed = failed_assertions(["verify", "kw-identity", "--n-max", "6"], capsys)
+    assert failed == {
+        "full-cycle-hooks-count-subset-sums": "[{'n': 5, 'k': 2}]",
+        "witt-coefficients-count-subset-sums": "[{'n': 5, 'k': 2}]",
+    }
+
+
+def test_affine_fibers_mismatch_names_the_class_and_subset(monkeypatch, capsys):
+    true_fiber = cdes.affine_ribbon_fiber
+
+    def off_by_one(mu, mask, mults):
+        return true_fiber(mu, mask, mults) + ((mu, mask) == ((3, 1), 0b101))
+
+    monkeypatch.setattr(cdes, "affine_ribbon_fiber", off_by_one)
+    failed = failed_assertions(["verify", "affine-fibers", "--n-max", "5"], capsys)
+    assert failed == {
+        "cdes-fibers-match-cyclic-ribbon-expansion-n=4": "[{'mu': [3, 1], 'J': [1, 3]}]"
+    }
+
+
+def test_cellini_reports_rotation_closure(capsys):
+    for mu, closed in (("2,1", True), ("3,1", True), ("2,2", False)):
+        code, doc, _ = run_json(["cellini", mu], capsys)
+        assert (code, doc["payload"], doc["passed"]) == (0, {"closed": closed}, True)
+        code, out, _ = run(["cellini", mu, "--format", "text"], capsys)
+        assert code == 0
+        assert f"closed = {closed}" in out.splitlines()
 
 def test_verify_cellini_reports_exactly_two(capsys):
     code, doc, _ = run_json(["verify", "cellini"], capsys)
@@ -764,3 +874,13 @@ def test_console_entry_matches_module_run(tmp_path):
     transform = {row["k"]: row["value"] for row in doc["payload"]["transform"]}
     # (1/5)((1-x)^5 - (1-x^5)) = -x + 2x^2 - 2x^3 + x^4
     assert transform == {0: "0", 1: "-1", 2: "2", 3: "-2", 4: "1"}
+
+
+
+def test_entrypoint_exits_with_the_main_status(monkeypatch, capsys):
+    for argv, status in ((["hooks", "1", "1"], 0), (["hooks", "0", "1"], 2)):
+        monkeypatch.setattr(sys, "argv", ["hooklie", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == status
+    assert capsys.readouterr().err.splitlines()[-1] == "error: r must be >= 1"

@@ -6,13 +6,14 @@ oracle on a range where the oracle stays cheap; frozen vectors were produced
 by that oracle and spot-checked by hand.
 """
 
+import json
 import math
 import random
 
 import pytest
 from brute_force import restricted_partitions
 
-from hooklie import cdes, characters, lie
+from hooklie import cdes, characters, cli, lie
 from hooklie.characters import hook_mults_oracle
 from hooklie.combinat import is_squarefree, moebius, partition_list
 from hooklie.lie import (
@@ -22,7 +23,6 @@ from hooklie.lie import (
     extension_certificate,
     hook_mults,
     hook_poly,
-    hook_profile,
     quotient_series,
     squarefree_criterion,
     subset_sum_count,
@@ -207,7 +207,10 @@ def test_column_row_table_built_once_per_r(monkeypatch):
         quotient_series(r, 5)
         for s in range(1, 6):
             column_row_mults(r, s)
-    hook_profile(4, 2)
+    witt_coeffs(4)
+    column_row_mults(4, 2)
+    hook_mults(4, 2)
+    extension_certificate((4, 4))
     assert builds == [(r, 5) for r in range(1, 13)]
     # only a larger s rebuilds the table
     assert column_row_series(3, 7).coeff(7) == xpow(13) * ONE_PLUS_X
@@ -402,16 +405,40 @@ def test_quotient_series_squarefree_is_none():
     assert quotient_series(30, 3) is None
 
 
-# -- hook profile ------------------------------------------------------------
+# -- the hooks report --------------------------------------------------------
 
 
-def test_hook_profile_bundles_consistent_data():
-    prof = hook_profile(4, 2)
-    assert prof.n == 8
-    assert prof.witt == witt_coeffs(4)
-    assert prof.column_row == column_row_mults(4, 2)
-    assert prof.hooks == hook_mults(4, 2)
-    assert prof.certificate == (0, 0, 0, 2, 0, 0, 0)
+@pytest.mark.parametrize("r, s", [(4, 2), (6, 1), (2, 2), (1, 3), (12, 3)])
+def test_hooks_report_reads_the_four_routes(r, s, capsys):
+    assert cli.main(["hooks", str(r), str(s), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+
+    def values(table):
+        assert [row["k"] for row in table] == list(range(len(table)))
+        return tuple(int(row["value"]) for row in table)
+
+    m = hook_mults(r, s)
+    cert = extension_certificate((r,) * s)
+    assert payload["n"] == r * s
+    assert values(payload["witt"]) == witt_coeffs(r)
+    assert values(payload["column_row"]) == column_row_mults(r, s)
+    assert values(payload["hooks"]) == m
+    assert payload["hook_poly"] == hook_poly(r, s).pretty()
+    # the certificate is the quotient N_(r,s)/(1+x) whenever 1 + x divides
+    quotient = hook_poly(r, s).divide_exact(ONE_PLUS_X)
+    if isinstance(cert, NoExtension):
+        assert quotient is None
+        assert payload["certificate"] is None
+        assert payload["no_extension"] == cli.no_extension_payload(cert)
+        assert payload["hook_poly_factored"] is None
+    else:
+        assert quotient == IntPolynomial(cert)
+        assert values(payload["certificate"]) == cert
+        assert "no_extension" not in payload
+        assert payload["hook_poly_factored"] == {
+            "factor": "1+x",
+            "quotient": quotient.pretty(),
+        }
 
 
 def test_hook_poly_special_families():

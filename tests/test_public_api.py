@@ -49,7 +49,6 @@ PINNED = {
         "hook_mults",
         "hook_mults_oracle",
         "hook_poly",
-        "hook_profile",
         "kostka_number",
         "quotient_series",
         "schur_multiplicities",
@@ -97,7 +96,6 @@ PINNED = {
     },
     "hooklie.lie": {
         "NoExtension",
-        "HookProfile",
         "SquarefreeReport",
         "SquareQuotient",
         "witt_coeffs",
@@ -108,7 +106,6 @@ PINNED = {
         "extension_certificate",
         "squarefree_criterion",
         "quotient_series",
-        "hook_profile",
         "subset_sum_count",
     },
     "hooklie.cdes": {

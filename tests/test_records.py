@@ -14,7 +14,6 @@ def _records():
         Tableau(((1, 2), (3,))),
         lie.squarefree_criterion(4, 2),
         lie.quotient_series(4, 2),
-        lie.hook_profile(2, 2),
         cdes.descent_distribution((3, 1)),
         feasible,
         cdes.Infeasible("negative-count", (1,)),
