@@ -8,7 +8,8 @@ formula is backed by an independently computed oracle that the test suite
 
 Modules
 -------
-combinat    partitions, permutations, subset masks, tableaux, Kostka numbers
+combinat    partitions, permutations, subset masks, standard tableaux counted
+            by descent set, Kostka numbers read from those counts
 series      integer polynomials, truncated two-variable series, Witt transform
 characters  Murnaghan-Nakayama values, higher Lie characters by plethysm
 lie         hook multiplicities, generating series, square-free criterion
@@ -37,7 +38,6 @@ from .combinat import (
     cycle_type,
     descent_set,
     kostka_number,
-    standard_tableaux,
 )
 from .lie import (
     NoExtension,
@@ -80,7 +80,6 @@ __all__ = [
     "schur_multiplicities",
     "solve_extension",
     "squarefree_criterion",
-    "standard_tableaux",
     "straight_ribbon_fiber",
     "witt_coeffs",
     "witt_transform",

@@ -14,8 +14,8 @@ check_walk is the one comparison with WALK_LIMIT: every route, and every
 verify suite of the command line, passes it the number of items it would
 walk (subsets, class elements, or (mask, shape) or (mask, submask) pairs)
 and is refused with ValueError before any work when that is over the limit.
-subset_walk and class_walk give the two counts the routes here need without
-building 2^n or n! for a huge n.
+subset_walk, class_walk and ribbon_walk give the three counts the routes
+here need without building 2^n, n! or the partitions of n for a huge n.
 
 A cyclic extension assigns to every pi in the class a set cDes(pi) with
 cDes(pi) intersect [n-1] = Des(pi), together with a bijection p of the
@@ -73,6 +73,7 @@ __all__ = [
     "check_walk",
     "subset_walk",
     "class_walk",
+    "ribbon_walk",
     "DescentDistribution",
     "Infeasible",
     "FiberSolution",
@@ -153,8 +154,8 @@ def check_walk(items: int, what: str) -> None:
         raise ValueError(f"{what} are over the walk limit of {WALK_LIMIT}")
 
 
-# subset_walk and class_walk saturate at 2^20 > WALK_LIMIT, so check_walk
-# decides on their counts as on the exact ones.
+# subset_walk, class_walk and ribbon_walk saturate at 2^20 > WALK_LIMIT, so
+# check_walk decides on their counts as on the exact ones.
 _COUNT_CAP = 1 << 20
 
 
@@ -162,6 +163,14 @@ def subset_walk(n: int) -> int:
     """min(2^n, 2^20): the number of subsets of [n], never built for a huge
     n."""
     return 1 << n if n < 20 else _COUNT_CAP
+
+
+def ribbon_walk(n: int) -> int:
+    """min(2^(n-1) p(n), 2^20): the (mask, shape) pairs of a class of S_n,
+    n >= 1, for the ribbon routes; partition_list(n) is never built at 20."""
+    if n >= 20:
+        return _COUNT_CAP
+    return min((1 << (n - 1)) * len(partition_list(n)), _COUNT_CAP)
 
 
 def class_walk(mu) -> int:
@@ -434,9 +443,11 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
     sum over nonempty I inside J of (-1)^(|J|-|I|) times the Kostka
     pairing of the expansion with the cyclic composition of I.
 
-    J must be a proper nonempty subset of [n], and mu a class type.
+    J must be a proper nonempty subset of [n], and mu a class type; a class
+    over the walk limit (ribbon_walk) is refused with ValueError up front.
     """
     n = sum(check_class_type(mu))
+    check_walk(ribbon_walk(n), f"the (mask, shape) pairs of a class of S_{n}")
     if not 0 < mask < full_mask(n):
         raise ValueError("J must be a proper nonempty subset of [n]")
     jbits = bin(mask).count("1")
@@ -461,7 +472,10 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
 def _straight_fibers(mu) -> Dict[int, int]:
     """Nonzero Des-fiber counts of the class by mask of [n-1], predicted
     from its Schur expansion: sum over lam of <psi^mu, chi^lam> times
-    syt_descent_counts(lam), the standard tableaux of shape lam by Des."""
+    syt_descent_counts(lam), the standard tableaux of shape lam by Des; a
+    class over the walk limit (ribbon_walk) is refused with ValueError."""
+    n = sum(mu)
+    check_walk(ribbon_walk(n), f"the (mask, shape) pairs of a class of S_{n}")
     table: Dict[int, int] = {}
     for lam, m in characters.schur_multiplicities(mu).items():
         if m:
@@ -471,9 +485,9 @@ def _straight_fibers(mu) -> Dict[int, int]:
 
 
 def straight_ribbon_fiber(mu, mask: int) -> int:
-    """Size of {pi in the class : Des(pi) = J} predicted from the Schur
-    expansion, read from the class's whole table (_straight_fibers), built
-    on each call.  J must be a subset of [n-1], and mu a class type."""
+    """Size of {pi in the class of mu : Des(pi) = J}, J a subset of [n-1],
+    predicted from the Schur expansion: read from the class's whole table
+    (_straight_fibers), built on each call and refused over the walk limit."""
     n = sum(check_class_type(mu))
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")

@@ -402,12 +402,12 @@ def suite_gr_fibers(payload: dict, n_max: int) -> Iterator[tuple]:
     tableaux by descent set) match the Gessel-Reutenauer fibers of
     descent_distribution for every class and every descent set, n <= n_max."""
     cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
-    # a class's table merges at most 2^(n-1) p(n) (shape, mask) counts, and
-    # its tableaux, t(n) = sum of f^lam (the involutions of [n]), stay below
-    # that at n <= 12 (t(12) = 140,152 <= 157,696); both pass the limit at 13
+    # no tableau is walked: a class's table merges at most 2^(n-1) p(n) (mask,
+    # shape) counts, and the (row, mask) table of a shape lam has at most
+    # min(f^lam, l(lam) 2^(n-1)) entries, so all of S_n's at most t(n) = sum
+    # of f^lam <= 2^(n-1) p(n) for n <= 12 (140,152 <= 157,696); both pass at 13
     cdes.check_walk(
-        2 ** (n_max - 1) * len(partition_list(n_max)),
-        f"the (mask, shape) pairs of a class of S_{n_max}",
+        cdes.ribbon_walk(n_max), f"the (mask, shape) pairs of a class of S_{n_max}"
     )
     for n in range(1, n_max + 1):
         bad = []

@@ -38,6 +38,11 @@ they are the reference for the Kronecker-substitution product and power
 of hooklie.series.IntPolynomial, and witt_transform_by_schoolbook
 assembles the Witt transform from them alone.
 
+standard_tableaux builds every standard Young tableau of a straight shape
+as its rows, one entry at a time, and syt_descent_counts_by_enumeration
+counts them by descent set; they are the reference for the corner-removal
+table of hooklie.combinat.syt_descent_counts, which builds no tableau.
+
 restricted_partitions lists the partitions of i inside an r x s box, padded
 with zeros to length s; tests/test_lie.py sums over them to compute the
 column-row multiplicities by their definition.
@@ -369,6 +374,41 @@ def witt_transform_by_schoolbook(p: IntPolynomial, r: int) -> IntPolynomial:
     if any(v % r for v in acc.coeffs):
         raise ArithmeticError(f"Witt transform not integral at r={r}")
     return IntPolynomial(v // r for v in acc.coeffs)
+
+
+def standard_tableaux(shape) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Standard Young tableaux of a straight shape, each as its rows of
+    entries, top row first: 1, 2, ..., n are placed in turn at the end of
+    every row that can take the next entry."""
+    n = sum(shape)
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def rec(v: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        if v > n:
+            yield tuple(tuple(r) for r in rows)
+            return
+        for idx in range(len(shape)):
+            filled = len(rows[idx])
+            if filled < shape[idx] and (idx == 0 or len(rows[idx - 1]) > filled):
+                rows[idx].append(v)
+                yield from rec(v + 1)
+                rows[idx].pop()
+
+    return rec(1)
+
+
+def syt_descent_counts_by_enumeration(shape) -> Dict[int, int]:
+    """Standard tableaux of the shape per descent-set mask, the descents of
+    a tableau being {i : i+1 sits in a strictly lower row than i}."""
+    counts: Dict[int, int] = {}
+    for rows in standard_tableaux(shape):
+        row_of = {v: ri for ri, row in enumerate(rows) for v in row}
+        mask = 0
+        for v in range(1, sum(shape)):
+            if row_of[v + 1] > row_of[v]:
+                mask |= 1 << (v - 1)
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts
 
 
 def restricted_partitions(i: int, r: int, s: int) -> Iterator[tuple[int, ...]]:

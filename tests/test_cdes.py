@@ -106,11 +106,14 @@ def test_walk_counts_saturate_past_the_limit():
             assert cdes.class_walk(mu) == min(class_size(mu), cap), mu
     for n in range(30):
         assert cdes.subset_walk(n) == min(2**n, cap)
+    for n in range(1, 30):
+        assert cdes.ribbon_walk(n) == min(2 ** (n - 1) * len(partition_list(n)), cap)
     # a huge n is judged without building n! or 2^n
     assert cdes.class_walk((1,) * 100_000) == 1
     assert cdes.class_walk((2,) + (1,) * 896) == math.comb(898, 2) <= cdes.WALK_LIMIT
     assert cdes.class_walk((2,) + (1,) * 897) > cdes.WALK_LIMIT
     assert cdes.class_walk((100_000,)) == cdes.subset_walk(10**12) == cap
+    assert cdes.ribbon_walk(10**12) == cap
 
 
 class _NoWork(dict):
@@ -132,6 +135,25 @@ def test_walks_over_the_limit_are_refused_before_any_work(monkeypatch):
                 call(mu)
     with pytest.raises(ValueError, match="walk limit"):
         solve_extension(cdes.DescentDistribution(19, _NoWork({0: 1})))
+
+
+def test_ribbon_routes_refuse_a_class_over_the_limit(monkeypatch):
+    # 2^12 masks times p(13) = 101 shapes are over the limit; 2^11 times
+    # p(12) = 77 are under it
+    assert cdes.ribbon_walk(12) <= cdes.WALK_LIMIT < cdes.ribbon_walk(13)
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "schur_multiplicities", _no_work)
+        patch.setattr(cdes, "kostka_number", _no_work)
+        for mu in ((13,), (12, 1), (1,) * 13):
+            with pytest.raises(ValueError, match="walk limit"):
+                straight_ribbon_fiber(mu, 0)
+            with pytest.raises(ValueError, match="walk limit"):
+                affine_ribbon_fiber(mu, 1, {(13,): 1})
+    # n = 12 is admitted: the identity is the one element with no descent,
+    # and the 12-cycles with cDes = {1} are the solver's fiber
+    assert straight_ribbon_fiber((1,) * 12, 0) == 1
+    sol = solve_extension(descent_distribution((12,)))
+    assert affine_ribbon_fiber((12,), 1, schur_multiplicities((12,))) == sol.count(1)
 
 
 def test_distribution_matches_enumeration():

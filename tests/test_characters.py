@@ -17,6 +17,7 @@ from brute_force import (
     frobenius_over_fractions,
     h_pairings_by_necklaces,
     higher_lie_by_enumeration,
+    standard_tableaux,
 )
 
 from hooklie import characters
@@ -34,7 +35,6 @@ from hooklie.combinat import (
     is_partition,
     moebius,
     partition_list,
-    standard_tableaux,
 )
 from hooklie.series import IntPolynomial
 

@@ -1,5 +1,5 @@
 """Tests for partitions, permutations, subset masks, tableaux, Kostka numbers,
-and the box-partition lister of tests/brute_force.py.
+and the tableau enumerator and box-partition lister of tests/brute_force.py.
 
 Frozen constants were computed by independent brute-force enumeration
 (itertools over full symmetric groups / semistandard fillings) and are
@@ -11,10 +11,13 @@ import random
 from itertools import permutations
 
 import pytest
-from brute_force import restricted_partitions
+from brute_force import (
+    restricted_partitions,
+    standard_tableaux,
+    syt_descent_counts_by_enumeration,
+)
 
 from hooklie.combinat import (
-    Tableau,
     cellini_descent_set,
     centralizer_order,
     class_size,
@@ -30,7 +33,6 @@ from hooklie.combinat import (
     moebius,
     partition_list,
     rotate_subset,
-    standard_tableaux,
     subset_elements,
     syt_descent_counts,
 )
@@ -261,59 +263,70 @@ def test_rotate_subset_rejects_out_of_range():
 # -- tableaux ----------------------------------------------------------------
 
 
+def _syt_count(shape):
+    return sum(syt_descent_counts(shape).values())
+
+
 def test_straight_syt_counts():
     # hook length formula values
-    assert len(list(standard_tableaux((2, 1)))) == 2
-    assert len(list(standard_tableaux((2, 2)))) == 2
-    assert len(list(standard_tableaux((3, 1)))) == 3
-    assert len(list(standard_tableaux((2, 1, 1)))) == 3
-    assert len(list(standard_tableaux((3, 2)))) == 5
-    assert len(list(standard_tableaux((4,)))) == 1
-    assert len(list(standard_tableaux(()))) == 1
+    assert _syt_count((2, 1)) == 2
+    assert _syt_count((2, 2)) == 2
+    assert _syt_count((3, 1)) == 3
+    assert _syt_count((2, 1, 1)) == 3
+    assert _syt_count((3, 2)) == 5
+    assert _syt_count((4,)) == 1
+    assert _syt_count(()) == 1
 
 
 def test_syt_total_count_is_involution_number():
     # sum over shapes of f^lambda equals the number of involutions
-    involutions = [1, 1, 2, 4, 10, 26, 76]
-    for n in range(1, 7):
-        total = sum(len(list(standard_tableaux(lam))) for lam in partition_list(n))
+    involutions = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
+    for n in range(1, 11):
+        total = sum(_syt_count(lam) for lam in partition_list(n))
         assert total == involutions[n]
 
 
 def test_syt_rows_increase():
     for lam in [(3, 2), (2, 2, 1), (4, 1)]:
-        for t in standard_tableaux(lam):
-            flat = sorted(v for row in t.rows for v in row)
+        for rows in standard_tableaux(lam):
+            flat = sorted(v for row in rows for v in row)
             assert flat == list(range(1, sum(lam) + 1))
-            for row in t.rows:
+            for row in rows:
                 assert all(a < b for a, b in zip(row, row[1:]))
-            for upper, lower in zip(t.rows, t.rows[1:]):
+            for upper, lower in zip(rows, rows[1:]):
                 assert all(a < b for a, b in zip(upper, lower))
 
 
 def test_hook_tableau_descents():
-    # SYT of the hook (n-k, 1^k) have descent sets = k-subsets forming
-    # the column values minus one offset; count is binom(n-1, k)
-    for n in range(2, 7):
+    # the SYT of the hook (n-k, 1^k) are fixed by the k entries below the
+    # first row, and their descent sets are those entries minus one: each
+    # k-subset of [n-1] once, so binom(n-1, k) tableaux
+    for n in range(2, 9):
         for k in range(n):
-            shape = (n - k,) + (1,) * k
-            tabs = list(standard_tableaux(shape))
-            assert len(tabs) == math.comb(n - 1, k)
-            descent_sets = {t.descent_set() for t in tabs}
-            assert len(descent_sets) == len(tabs)
-            for mask in descent_sets:
+            counts = syt_descent_counts((n - k,) + (1,) * k)
+            assert len(counts) == math.comb(n - 1, k)
+            assert set(counts.values()) == {1}
+            for mask in counts:
                 assert len(subset_elements(mask)) == k
 
 
-def test_general_skew_shapes_rejected():
-    with pytest.raises(TypeError):
-        standard_tableaux([(2, 1), (1,)])
-
-
 def test_syt_descent_counts_totals():
-    for lam in [(3, 1), (2, 2), (3, 2), (2, 2, 1)]:
-        counts = syt_descent_counts(lam)
-        assert sum(counts.values()) == len(list(standard_tableaux(lam)))
+    # totals against the hook length formula
+    for n in range(1, 9):
+        for lam in partition_list(n):
+            conj = [sum(1 for p in lam if p > j) for j in range(lam[0])]
+            hooks = math.prod(
+                row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
+            )
+            assert _syt_count(lam) == math.factorial(n) // hooks, lam
+
+
+def test_syt_descent_counts_match_enumeration():
+    for n in range(11):
+        for lam in partition_list(n):
+            assert syt_descent_counts(lam) == syt_descent_counts_by_enumeration(lam), lam
+    with pytest.raises(ValueError):
+        syt_descent_counts((1, 2))
 
 
 # -- Kostka numbers ----------------------------------------------------------
@@ -383,6 +396,20 @@ def test_kostka_matches_brute_force():
             left -= c
         rng.shuffle(parts)
         assert kostka_number(lam, tuple(parts)) == _brute_kostka(lam, tuple(parts))
+    # zero parts repeat a partial sum, so two cuts of the standardization
+    # fall on one descent position
+    assert kostka_number((2, 1), (2, 0, 1)) == _brute_kostka((2, 1), (2, 0, 1)) == 1
+    for _ in range(60):
+        n = rng.randrange(0, 7)
+        lam = rng.choice(partition_list(n))
+        parts = [0] * rng.randrange(1, 4)
+        left = n
+        while left:
+            c = rng.randrange(1, left + 1)
+            parts.append(c)
+            left -= c
+        rng.shuffle(parts)
+        assert kostka_number(lam, tuple(parts)) == _brute_kostka(lam, tuple(parts))
 
 
 def test_kostka_invariant_under_content_permutation():
@@ -405,9 +432,3 @@ def test_kostka_invariant_under_content_permutation():
 def test_kostka_rejects_size_mismatch():
     with pytest.raises(ValueError):
         kostka_number((2, 1), (1, 1))
-
-
-def test_tableau_validation():
-    t = Tableau(((1, 3), (2,)))
-    assert t.size == 3
-    assert subset_elements(t.descent_set()) == (1,)

@@ -54,7 +54,6 @@ PINNED = {
         "schur_multiplicities",
         "solve_extension",
         "squarefree_criterion",
-        "standard_tableaux",
         "straight_ribbon_fiber",
         "witt_coeffs",
         "witt_transform",
@@ -76,8 +75,6 @@ PINNED = {
         "rotate_subset",
         "subset_elements",
         "mask_from_elements",
-        "Tableau",
-        "standard_tableaux",
         "syt_descent_counts",
         "kostka_number",
     },
@@ -113,6 +110,7 @@ PINNED = {
         "check_walk",
         "subset_walk",
         "class_walk",
+        "ribbon_walk",
         "DescentDistribution",
         "Infeasible",
         "FiberSolution",

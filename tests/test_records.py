@@ -5,13 +5,12 @@ certificate from a NoExtension with isinstance(cert, tuple)."""
 import pytest
 
 from hooklie import cdes, lie
-from hooklie.combinat import Tableau, partition_list
+from hooklie.combinat import partition_list
 
 
 def _records():
     feasible = cdes.solve_extension(cdes.descent_distribution((3, 1)))
     return [
-        Tableau(((1, 2), (3,))),
         lie.squarefree_criterion(4, 2),
         lie.quotient_series(4, 2),
         cdes.descent_distribution((3, 1)),
