@@ -10,12 +10,10 @@ Enumerating the class is the test oracle (tests/brute_force.py); only
 construct_extension and cellini_closed, which need the elements
 themselves, still walk the class.
 
-check_walk is the one comparison with WALK_LIMIT: every route, and every
-verify suite of the command line, passes it the number of items it would
-walk (subsets, class elements, or (mask, shape) or (mask, submask) pairs)
-and is refused with ValueError before any work when that is over the limit.
-subset_walk, class_walk and ribbon_walk give the three counts the routes
-here need without building 2^n, n! or the partitions of n for a huge n.
+Every route here first passes combinat.check_walk the number of items it
+would walk, from combinat's subset_walk, class_walk or ribbon_walk, and is
+refused with ValueError before any work when that is over
+combinat.WALK_LIMIT.
 
 A cyclic extension assigns to every pi in the class a set cDes(pi) with
 cDes(pi) intersect [n-1] = Des(pi), together with a bijection p of the
@@ -57,23 +55,22 @@ from . import characters
 from .combinat import (
     cellini_descent_set,
     check_class_type,
+    check_walk,
     class_size,
+    class_walk,
     conjugacy_class,
     descent_set,
     full_mask,
     kostka_number,
     partition_list,
+    ribbon_walk,
     rotate_subset,
     subset_elements,
+    subset_walk,
     syt_descent_counts,
 )
 
 __all__ = [
-    "WALK_LIMIT",
-    "check_walk",
-    "subset_walk",
-    "class_walk",
-    "ribbon_walk",
     "DescentDistribution",
     "Infeasible",
     "FiberSolution",
@@ -88,12 +85,6 @@ __all__ = [
     "straight_ribbon_fiber",
     "write_extension",
 ]
-
-# The most items any route walks: the largest class of S_10, (9, 1), with
-# 403,200 elements.  Since 2^18 <= WALK_LIMIT < 2^19, the walks over the
-# subsets of [n] admit n <= 18.
-WALK_LIMIT = class_size((9, 1))
-
 
 class DescentDistribution(NamedTuple):
     """Des-fiber sizes of a conjugacy class, keyed by subset mask of
@@ -144,63 +135,6 @@ class CyclicExtensionSolution(NamedTuple):
     cdes: Tuple[int, ...]
     p: Tuple[int, ...]
     axioms: Mapping[str, bool] = MappingProxyType({})
-
-
-def check_walk(items: int, what: str) -> None:
-    """Refuse, with ValueError, a walk over more than WALK_LIMIT items.  The
-    message names them by what, which says n and never their count or a
-    class type: both can have more digits than Python will print."""
-    if items > WALK_LIMIT:
-        raise ValueError(f"{what} are over the walk limit of {WALK_LIMIT}")
-
-
-# subset_walk, class_walk and ribbon_walk saturate at 2^20 > WALK_LIMIT, so
-# check_walk decides on their counts as on the exact ones.
-_COUNT_CAP = 1 << 20
-
-
-def subset_walk(n: int) -> int:
-    """min(2^n, 2^20): the number of subsets of [n], never built for a huge
-    n."""
-    return 1 << n if n < 20 else _COUNT_CAP
-
-
-def ribbon_walk(n: int) -> int:
-    """min(2^(n-1) p(n), 2^20): the (mask, shape) pairs of a class of S_n,
-    n >= 1, for the ribbon routes; partition_list(n) is never built at 20."""
-    if n >= 20:
-        return _COUNT_CAP
-    return min((1 << (n - 1)) * len(partition_list(n)), _COUNT_CAP)
-
-
-def class_walk(mu) -> int:
-    """min(size of the class of mu, 2^20), without computing n! for a huge
-    n.
-
-    The size is a product of integer factors >= 1, taken for each part size
-    i, with multiplicity k, in decreasing order of i, with R points left:
-    C(R, ik) places the k cycles of length i, built through the partial
-    binomials C(R - m + j, j), j <= m = min(ik, R - ik), which never
-    decrease; then (it - 1)(it - 2) ... (it - i + 1) for t = 1 .. k cuts
-    those ik points into cycles, each through the smallest point left.  So
-    the first partial product at the cap settles it.
-    """
-    size, rest = 1, sum(mu)
-    for i, k in sorted(Counter(mu).items(), reverse=True):
-        m = min(i * k, rest - i * k)
-        binomial = 1
-        for j in range(1, m + 1):
-            binomial = binomial * (rest - m + j) // j
-            if size * binomial >= _COUNT_CAP:
-                return _COUNT_CAP
-        size *= binomial
-        for t in range(1, k + 1):
-            for u in range(1, i):
-                size *= i * t - u
-                if size >= _COUNT_CAP:
-                    return _COUNT_CAP
-        rest -= i * k
-    return size
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ given the command line; no file is read), csv, or text; timing always goes
 to stderr.
 SUITES is the one table of verify suites and the bounds each reads, with
 their defaults; verify refuses a bound flag its suite does not read.  A
-suite is a generator suite(payload, **bounds).  It passes cdes.check_walk
+suite is a generator suite(payload, **bounds).  It passes check_walk
 the largest walk of its scan before its first yield, writes its counters
 into payload, and yields (name, failures) or (name, failures, note) per
 assertion; verify records each, failed iff failures is non-empty, with
@@ -14,7 +14,7 @@ str(failures) or else note as the detail.
 Exit codes: 0 all assertions passed, 1 an assertion failed (including an
 exactness check that raised ArithmeticError), 2 usage errors, including
 every ValueError the library raises on a bad input and any input that
-would walk more than cdes.WALK_LIMIT items.
+would walk more than combinat.WALK_LIMIT items.
 """
 
 from __future__ import annotations
@@ -30,11 +30,15 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 from . import cdes, characters, lie
 from .combinat import (
+    check_walk,
+    class_walk,
     full_mask,
     is_squarefree,
     moebius,
     partition_list,
+    ribbon_walk,
     subset_elements,
+    subset_walk,
 )
 from .series import IntPolynomial, is_unimodal, witt_transform
 
@@ -316,7 +320,10 @@ def cmd_construct(args) -> Report:
                 fibers = cdes.write_extension(sol, fh)
                 fh.write("\n")
         except OSError:
-            os.remove(out_path)  # no truncated dump is left behind
+            # no truncated dump is left behind; a link or a device such as
+            # /dev/stdout is never removed
+            if os.path.isfile(out_path) and not os.path.islink(out_path):
+                os.remove(out_path)
             raise
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}")
@@ -339,7 +346,7 @@ def cmd_construct(args) -> Report:
 def suite_main_theorem(payload: dict, n_max: int) -> Iterator[tuple]:
     """Extension exists iff the class is not a rectangle with square-free
     part size; exhaustive over n <= n_max."""
-    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
+    check_walk(subset_walk(n_max), f"the subsets of [{n_max}]")
     scanned = 0
     for n in range(1, n_max + 1):
         bad = []
@@ -401,13 +408,13 @@ def suite_gr_fibers(payload: dict, n_max: int) -> Iterator[tuple]:
     """Schur-expansion descent fibers (multiplicities times standard
     tableaux by descent set) match the Gessel-Reutenauer fibers of
     descent_distribution for every class and every descent set, n <= n_max."""
-    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
+    check_walk(subset_walk(n_max), f"the subsets of [{n_max}]")
     # no tableau is walked: a class's table merges at most 2^(n-1) p(n) (mask,
     # shape) counts, and the (row, mask) table of a shape lam has at most
     # min(f^lam, l(lam) 2^(n-1)) entries, so all of S_n's at most t(n) = sum
     # of f^lam <= 2^(n-1) p(n) for n <= 12 (140,152 <= 157,696); both pass at 13
-    cdes.check_walk(
-        cdes.ribbon_walk(n_max), f"the (mask, shape) pairs of a class of S_{n_max}"
+    check_walk(
+        ribbon_walk(n_max), f"the (mask, shape) pairs of a class of S_{n_max}"
     )
     for n in range(1, n_max + 1):
         bad = []
@@ -426,7 +433,7 @@ def suite_kw_identity(payload: dict, n_max: int) -> Iterator[tuple]:
     """Hook multiplicities of the full cycle count k-subsets of [n-1]
     with sum 1 mod n; Witt coefficients count them inside [n]."""
     # subset_sum_count walks every subset of [n]
-    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
+    check_walk(subset_walk(n_max), f"the subsets of [{n_max}]")
     bad_hooks = []
     bad_witt = []
     for n in range(1, n_max + 1):
@@ -450,8 +457,8 @@ def suite_cellini(payload: dict, n_max: int) -> Iterator[tuple]:
     # cellini_closed walks the class; (n-1, 1) is a largest class of S_n,
     # n >= 2, as no centralizer order is below its own
     if n_max > 1:
-        cdes.check_walk(
-            cdes.class_walk((n_max - 1, 1)), f"the elements of a class of S_{n_max}"
+        check_walk(
+            class_walk((n_max - 1, 1)), f"the elements of a class of S_{n_max}"
         )
     closed = []
     for n in range(2, n_max + 1):
@@ -470,9 +477,9 @@ def suite_cellini(payload: dict, n_max: int) -> Iterator[tuple]:
 def suite_affine_fibers(payload: dict, n_max: int) -> Iterator[tuple]:
     """For every feasible class, the inclusion-exclusion of cyclic ribbon
     characters reproduces every solved cDes fiber size, n <= n_max."""
-    cdes.check_walk(cdes.subset_walk(n_max), f"the subsets of [{n_max}]")
+    check_walk(subset_walk(n_max), f"the subsets of [{n_max}]")
     # affine_ribbon_fiber walks every submask of every mask: 3^n pairs
-    cdes.check_walk(3**n_max, f"the (mask, submask) pairs of a class of S_{n_max}")
+    check_walk(3**n_max, f"the (mask, submask) pairs of a class of S_{n_max}")
     for n in range(1, n_max + 1):
         bad = []
         feasible = 0

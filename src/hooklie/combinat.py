@@ -2,6 +2,15 @@
 tableaux counted by descent set with one corner-removal recursion that
 builds no tableau; Kostka numbers are read from those counts.
 
+WALK_LIMIT bounds the items any route of the package walks, and check_walk
+is the one comparison with it: every route, and every verify suite of the
+command line, passes it the number of items it would walk (subsets, class
+elements, (mask, shape) or (mask, submask) pairs, or the (row, mask) keys
+of a tableau table) and is refused with ValueError before any work when
+that is over the limit.  subset_walk, class_walk and ribbon_walk give the
+counts of the cdes routes without building 2^n, n! or the partitions of n
+for a huge n; syt_descent_counts, and so kostka_number, checks its own.
+
 Conventions used across the package:
 
 * partitions are weakly decreasing tuples of positive ints,
@@ -14,6 +23,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
@@ -27,6 +37,11 @@ __all__ = [
     "partition_list",
     "centralizer_order",
     "class_size",
+    "WALK_LIMIT",
+    "check_walk",
+    "subset_walk",
+    "class_walk",
+    "ribbon_walk",
     "cycle_type",
     "conjugacy_class",
     "descent_set",
@@ -148,6 +163,73 @@ def centralizer_order(mu) -> int:
 def class_size(mu) -> int:
     mu = _check_partition(mu)
     return math.factorial(sum(mu)) // centralizer_order(mu)
+
+
+# -- the walk limit ----------------------------------------------------------
+
+
+# The most items any route walks: the largest class of S_10, (9, 1), with
+# 403,200 elements.  Since 2^18 <= WALK_LIMIT < 2^19, the walks over the
+# subsets of [n] admit n <= 18.
+WALK_LIMIT = class_size((9, 1))
+
+
+def check_walk(items: int, what: str) -> None:
+    """Refuse, with ValueError, a walk over more than WALK_LIMIT items.  The
+    message names them by what, which says n and never their count or a
+    class type: both can have more digits than Python will print."""
+    if items > WALK_LIMIT:
+        raise ValueError(f"{what} are over the walk limit of {WALK_LIMIT}")
+
+
+# subset_walk, class_walk, ribbon_walk and _tableau_walk saturate at
+# 2^20 > WALK_LIMIT, so check_walk decides on their counts as on the exact
+# ones.
+_COUNT_CAP = 1 << 20
+
+
+def subset_walk(n: int) -> int:
+    """min(2^n, 2^20): the number of subsets of [n], never built for a huge
+    n."""
+    return 1 << n if n < 20 else _COUNT_CAP
+
+
+def ribbon_walk(n: int) -> int:
+    """min(2^(n-1) p(n), 2^20): the (mask, shape) pairs of a class of S_n,
+    n >= 1, for the ribbon routes; partition_list(n) is never built at 20."""
+    if n >= 20:
+        return _COUNT_CAP
+    return min((1 << (n - 1)) * len(partition_list(n)), _COUNT_CAP)
+
+
+def class_walk(mu) -> int:
+    """min(size of the class of mu, 2^20), without computing n! for a huge
+    n.
+
+    The size is a product of integer factors >= 1, taken for each part size
+    i, with multiplicity k, in decreasing order of i, with R points left:
+    C(R, ik) places the k cycles of length i, built through the partial
+    binomials C(R - m + j, j), j <= m = min(ik, R - ik), which never
+    decrease; then (it - 1)(it - 2) ... (it - i + 1) for t = 1 .. k cuts
+    those ik points into cycles, each through the smallest point left.  So
+    the first partial product at the cap settles it.
+    """
+    size, rest = 1, sum(mu)
+    for i, k in sorted(Counter(mu).items(), reverse=True):
+        m = min(i * k, rest - i * k)
+        binomial = 1
+        for j in range(1, m + 1):
+            binomial = binomial * (rest - m + j) // j
+            if size * binomial >= _COUNT_CAP:
+                return _COUNT_CAP
+        size *= binomial
+        for t in range(1, k + 1):
+            for u in range(1, i):
+                size *= i * t - u
+                if size >= _COUNT_CAP:
+                    return _COUNT_CAP
+        rest -= i * k
+    return size
 
 
 # -- permutations ------------------------------------------------------------
@@ -373,15 +455,37 @@ def _syt_table(shape: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return table
 
 
+def _tableau_walk(shape: tuple[int, ...]) -> int:
+    """min(f^shape, len(shape) 2^(n-1), 2^20), a bound on the (row, mask)
+    keys of _syt_table(shape): each key counts at least one of its f^shape
+    standard tableaux, here by the hook length formula.  Saturated at
+    n >= 20, like ribbon_walk, so a huge n, whose recursion would also be
+    too deep, costs nothing."""
+    n = sum(shape)
+    if n >= 20:
+        return _COUNT_CAP
+    conj = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
+    hooks = math.prod(
+        part - j + conj[j] - i - 1 for i, part in enumerate(shape) for j in range(part)
+    )
+    return min(math.factorial(n) // hooks, (len(shape) << n) // 2)
+
+
 @lru_cache(maxsize=None)
 def syt_descent_counts(shape) -> dict:
     """Number of standard tableaux of the shape per descent-set mask
-    (nonzero counts only), summed from _syt_table over the row of n.  Cold,
-    on a 2-vCPU x86 VM with Python 3.11: 1.3 s and a 303 MiB peak for
-    (7, 4, 3, 2, 1, 1), the n = 18 shape with the most tableaux, and 4.7 s
-    and 1,064 MiB for (6, 5, 4, 3, 2) at n = 20."""
+    (nonzero counts only), summed from _syt_table over the row of n.  A
+    shape whose table has more (row, mask) keys than WALK_LIMIT
+    (_tableau_walk) is refused with ValueError before any work, so every
+    shape with n <= 16 is admitted and none with n >= 20.  Cold, on a
+    2-vCPU x86 VM with Python 3.11: 0.63 s and a 144 MiB peak for
+    (6, 4, 3, 2, 1, 1), the costliest of the admitted shapes with n >= 17."""
+    shape = _check_partition(shape)
+    check_walk(
+        _tableau_walk(shape), f"the (row, mask) keys of a tableau table of size {sum(shape)}"
+    )
     counts: dict[int, int] = {}
-    for (_, mask), count in _syt_table(_check_partition(shape)).items():
+    for (_, mask), count in _syt_table(shape).items():
         counts[mask] = counts.get(mask, 0) + count
     return counts
 

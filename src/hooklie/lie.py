@@ -223,7 +223,7 @@ def column_row_series(r: int, s_max: int) -> BiSeries:
     if r < 1 or s_max < 0:
         raise ValueError("need r >= 1 and s_max >= 0")
     rows = _column_rows(r, s_max)[: s_max + 1]
-    return BiSeries(s_max, [IntPolynomial(row) for row in rows])
+    return BiSeries(s_max, tuple(map(IntPolynomial, rows)))
 
 
 def _rectangle(mu: tuple) -> Optional[Tuple[int, int]]:
@@ -335,7 +335,7 @@ def quotient_series(r: int, s_max: int) -> Optional[SquareQuotient]:
         raise ArithmeticError(f"(1+x)^2 does not divide the Witt polynomial at r={r}")
     if any(c < 0 for c in g.coeffs):
         raise ArithmeticError(f"negative Witt quotient coefficient at r={r}")
-    return SquareQuotient(BiSeries(s_max, polys), g)
+    return SquareQuotient(BiSeries(s_max, tuple(polys)), g)
 
 
 def subset_sum_count(n: int, k: int, include_n: bool = False) -> int:

@@ -1,8 +1,9 @@
 """Exact integer polynomials and y-truncated bivariate series.
 
 IntPolynomial is an immutable coefficient tuple with no trailing zeros.
-BiSeries holds the coefficients of y^0 .. y^(s_max) as IntPolynomials and
-is exact in x (no x-truncation anywhere).  Nothing here ever rounds.
+BiSeries is a record (s_max, polys) of the coefficients of y^0 .. y^(s_max)
+as IntPolynomials, exact in x (no x-truncation anywhere); lie builds its
+rows, and no series is ever multiplied.  Nothing here ever rounds.
 
 Products and powers of polynomials go by Kronecker substitution: the
 coefficients are packed as base-2^k digits of one Python integer (the
@@ -14,7 +15,7 @@ holds its coefficient exactly and no carry crosses into its neighbour.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .combinat import divisors, moebius
 
@@ -192,59 +193,17 @@ class IntPolynomial:
         return f"IntPolynomial({self.coeffs!r})"
 
 
-_ZERO = IntPolynomial()
+class BiSeries(NamedTuple):
+    """Series in y truncated after y^s_max: polys[s], s = 0 .. s_max, is the
+    coefficient of y^s, an exact polynomial in x."""
 
-
-class BiSeries:
-    """Series in y truncated after y^s_max, exact polynomial coefficients."""
-
-    __slots__ = ("s_max", "polys")
-
-    def __init__(self, s_max: int, polys: Sequence[IntPolynomial] = ()):
-        if s_max < 0:
-            raise ValueError("s_max must be >= 0")
-        ps = list(polys)[: s_max + 1]
-        ps += [_ZERO] * (s_max + 1 - len(ps))
-        object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "polys", tuple(ps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
+    s_max: int
+    polys: Tuple[IntPolynomial, ...]
 
     def coeff(self, s: int) -> IntPolynomial:
         if not 0 <= s <= self.s_max:
             raise IndexError(f"y-degree {s} outside truncation {self.s_max}")
         return self.polys[s]
-
-    def _match(self, other: "BiSeries") -> None:
-        if self.s_max != other.s_max:
-            raise ValueError("mismatched truncation orders")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiSeries)
-            and self.s_max == other.s_max
-            and self.polys == other.polys
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.s_max, self.polys))
-
-    # kept for perfbench/tracer.py, which counts products by patching it
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        self._match(other)
-        out = [_ZERO] * (self.s_max + 1)
-        for i, a in enumerate(self.polys):
-            if not a:
-                continue
-            for j in range(self.s_max + 1 - i):
-                b = other.polys[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return BiSeries(self.s_max, out)
-
-    def __repr__(self) -> str:
-        return f"BiSeries({self.s_max}, {self.polys!r})"
 
 
 def witt_transform(p: IntPolynomial, r: int) -> IntPolynomial:

@@ -20,7 +20,7 @@ from brute_force import (
     solve_extension_by_propagation,
 )
 
-from hooklie import cdes, characters
+from hooklie import cdes, characters, combinat
 from hooklie.cdes import (
     CyclicExtensionSolution,
     FiberSolution,
@@ -87,8 +87,8 @@ def test_distribution_rejects_oversized_class():
             descent_distribution(mu)
     # the limit is the largest class of S_10, and the 2^18 subsets of [18] fit
     largest = max(class_size(mu) for mu in partition_list(10))
-    assert cdes.WALK_LIMIT == largest == 403_200
-    cdes.check_walk(cdes.subset_walk(18), "the subsets of [18]")
+    assert combinat.WALK_LIMIT == largest == 403_200
+    combinat.check_walk(combinat.subset_walk(18), "the subsets of [18]")
     # the routes that walk the class refuse (11), with 10! elements
     for call in (construct_extension, cellini_closed):
         with pytest.raises(ValueError, match="walk limit"):
@@ -100,20 +100,21 @@ def test_distribution_rejects_oversized_class():
 
 def test_walk_counts_saturate_past_the_limit():
     cap = 2**20
-    assert cap > cdes.WALK_LIMIT
+    assert cap > combinat.WALK_LIMIT
     for n in range(1, 16):
         for mu in partition_list(n):
-            assert cdes.class_walk(mu) == min(class_size(mu), cap), mu
+            assert combinat.class_walk(mu) == min(class_size(mu), cap), mu
     for n in range(30):
-        assert cdes.subset_walk(n) == min(2**n, cap)
+        assert combinat.subset_walk(n) == min(2**n, cap)
     for n in range(1, 30):
-        assert cdes.ribbon_walk(n) == min(2 ** (n - 1) * len(partition_list(n)), cap)
+        assert combinat.ribbon_walk(n) == min(2 ** (n - 1) * len(partition_list(n)), cap)
     # a huge n is judged without building n! or 2^n
-    assert cdes.class_walk((1,) * 100_000) == 1
-    assert cdes.class_walk((2,) + (1,) * 896) == math.comb(898, 2) <= cdes.WALK_LIMIT
-    assert cdes.class_walk((2,) + (1,) * 897) > cdes.WALK_LIMIT
-    assert cdes.class_walk((100_000,)) == cdes.subset_walk(10**12) == cap
-    assert cdes.ribbon_walk(10**12) == cap
+    assert combinat.class_walk((1,) * 100_000) == 1
+    walk = combinat.class_walk((2,) + (1,) * 896)
+    assert walk == math.comb(898, 2) <= combinat.WALK_LIMIT
+    assert combinat.class_walk((2,) + (1,) * 897) > combinat.WALK_LIMIT
+    assert combinat.class_walk((100_000,)) == combinat.subset_walk(10**12) == cap
+    assert combinat.ribbon_walk(10**12) == cap
 
 
 class _NoWork(dict):
@@ -140,7 +141,7 @@ def test_walks_over_the_limit_are_refused_before_any_work(monkeypatch):
 def test_ribbon_routes_refuse_a_class_over_the_limit(monkeypatch):
     # 2^12 masks times p(13) = 101 shapes are over the limit; 2^11 times
     # p(12) = 77 are under it
-    assert cdes.ribbon_walk(12) <= cdes.WALK_LIMIT < cdes.ribbon_walk(13)
+    assert combinat.ribbon_walk(12) <= combinat.WALK_LIMIT < combinat.ribbon_walk(13)
     with monkeypatch.context() as patch:
         patch.setattr(characters, "schur_multiplicities", _no_work)
         patch.setattr(cdes, "kostka_number", _no_work)
@@ -653,6 +654,14 @@ def test_affine_fiber_rejects_trivial_subsets():
         affine_ribbon_fiber((4,), 0, mults)
     with pytest.raises(ValueError):
         affine_ribbon_fiber((4,), full_mask(4), mults)
+
+
+def test_affine_fiber_refuses_a_schur_expansion_of_the_wrong_n():
+    # every key of the expansion must be a partition of n, here 4
+    with pytest.raises(ValueError):
+        affine_ribbon_fiber((3, 1), 1, {(3,): 1})
+    with pytest.raises(ValueError):
+        affine_ribbon_fiber((3, 1), 1, {(2, 3): 1})
 
 
 def test_affine_fibers_match_solver():

@@ -763,6 +763,21 @@ def test_failed_dump_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert not out_file.exists()
 
 
+def test_failed_dump_write_keeps_a_link_to_a_device(tmp_path, capsys, monkeypatch):
+    # a broken pipe behind --output (say /dev/stdout into head) must not
+    # unlink the path: only a regular file is ever removed
+    def write_extension(sol, fh):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(cdes, "write_extension", write_extension)
+    link = tmp_path / "out"
+    link.symlink_to(os.devnull)
+    code, out, err = run(["construct", "3,1", "--output", str(link)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert link.is_symlink()
+
+
 def test_construct_infeasible_reports_reason(tmp_path, capsys):
     out_file = tmp_path / "x.json"
     code, doc, _ = run_json(["construct", "3", "--output", str(out_file)], capsys)

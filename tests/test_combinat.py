@@ -17,6 +17,7 @@ from brute_force import (
     syt_descent_counts_by_enumeration,
 )
 
+from hooklie import combinat
 from hooklie.combinat import (
     cellini_descent_set,
     centralizer_order,
@@ -327,6 +328,30 @@ def test_syt_descent_counts_match_enumeration():
             assert syt_descent_counts(lam) == syt_descent_counts_by_enumeration(lam), lam
     with pytest.raises(ValueError):
         syt_descent_counts((1, 2))
+
+
+def _no_table(shape):
+    raise AssertionError("a tableau table was built for a refused shape")
+
+
+def test_tableau_table_refuses_over_the_walk_limit(monkeypatch):
+    # (7, 4, 3, 2, 1, 1) has 6 * 2^17 possible (row, mask) keys and more
+    # tableaux; n >= 20 is refused outright, (1200) before its deep recursion
+    monkeypatch.setattr(combinat, "_syt_table", _no_table)
+    for shape in ((6, 5, 4, 3, 2), (7, 4, 3, 2, 1, 1), (1200,)):
+        with pytest.raises(ValueError, match="walk limit"):
+            syt_descent_counts(shape)
+        with pytest.raises(ValueError, match="walk limit"):
+            kostka_number(shape, shape)
+
+
+def test_tableau_table_admits_every_shape_up_to_16(monkeypatch):
+    # unwrapped, so the stub's empty tables stay out of the cache
+    monkeypatch.setattr(combinat, "_syt_table", lambda shape: {})
+    for n in range(17):
+        for lam in partition_list(n):
+            assert syt_descent_counts.__wrapped__(lam) == {}, lam
+    assert syt_descent_counts.__wrapped__((6, 4, 3, 2, 1, 1)) == {}
 
 
 # -- Kostka numbers ----------------------------------------------------------

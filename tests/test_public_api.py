@@ -67,6 +67,11 @@ PINNED = {
         "partition_list",
         "centralizer_order",
         "class_size",
+        "WALK_LIMIT",
+        "check_walk",
+        "subset_walk",
+        "class_walk",
+        "ribbon_walk",
         "cycle_type",
         "conjugacy_class",
         "descent_set",
@@ -106,11 +111,6 @@ PINNED = {
         "subset_sum_count",
     },
     "hooklie.cdes": {
-        "WALK_LIMIT",
-        "check_walk",
-        "subset_walk",
-        "class_walk",
-        "ribbon_walk",
         "DescentDistribution",
         "Infeasible",
         "FiberSolution",

@@ -12,6 +12,7 @@ def _records():
     feasible = cdes.solve_extension(cdes.descent_distribution((3, 1)))
     return [
         lie.squarefree_criterion(4, 2),
+        lie.column_row_series(4, 2),
         lie.quotient_series(4, 2),
         cdes.descent_distribution((3, 1)),
         feasible,

@@ -140,19 +140,12 @@ def test_pretty_printing():
 # -- BiSeries ----------------------------------------------------------------
 
 
-def test_biseries_truncating_product():
-    t = BiSeries(2, [IntPolynomial(()), X])  # xy truncated at y^2
-    assert t.polys == (IntPolynomial(()), X, IntPolynomial(()))  # padded
-    assert BiSeries(1, [ONE, X, X]).polys == (ONE, X)  # cut at y^1
-    sq = t * t
-    assert sq.coeff(2).coeffs == (0, 0, 1)
-    cube = sq * t  # y^3 term falls off the truncation
-    assert all(not cube.coeff(s) for s in range(3))
-
-
 def test_biseries_coeff_out_of_range():
-    with pytest.raises(IndexError):
-        BiSeries(2, [ONE]).coeff(3)
+    series = BiSeries(2, (ONE, X, X))
+    assert series.coeff(2) == X
+    for s in (-1, 3):
+        with pytest.raises(IndexError, match="outside truncation 2"):
+            series.coeff(s)
 
 
 # -- Witt transform ----------------------------------------------------------
