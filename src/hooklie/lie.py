@@ -12,10 +12,10 @@ The column-plus-row numbers of each r live in one table of rows
 y^0..y^s, built once per r and shared by every consumer (the
 multiplicities, the series and the square-divisibility checks); it is
 rebuilt only when a caller asks for a larger s than it holds.  The Witt
-coefficients are cross-checked against the generic Witt transform at
-every r.  By Thrall, the hook polynomial of any class is a product of
-rectangle formulas (extension_certificate), checked on every class against
-characters.hook_mults_oracle, which reads it off the
+coefficients are checked at every r by the divisor-sum identity that
+inverts their Moebius sum.  By Thrall, the hook polynomial of any class
+is a product of rectangle formulas (extension_certificate), checked on
+every class against characters.hook_mults_oracle, which reads it off the
 specialization p_d -> 1 - (-t)^d of Thrall's plethysm and shares only
 divisors, moebius and IntPolynomial with the closed formula.
 """
@@ -29,7 +29,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import characters
 from .combinat import check_class_type, divisors, is_squarefree, moebius
-from .series import BiSeries, IntPolynomial, witt_transform
+from .series import BiSeries, IntPolynomial
 
 __all__ = [
     "NoExtension",
@@ -92,9 +92,13 @@ def witt_coeffs(r: int) -> Tuple[int, ...]:
     moebius(d) * (-1)^(qd + q) * binom(r/d, q) to entry qd for q = 0..r/d,
     so moebius is evaluated once per divisor and the binomials are one
     row, each from the last by an exact division.  Equivalently the
-    coefficients of the Witt transform of 1-x taken at -x; that second,
-    generic-polynomial route is computed at every r and any mismatch
-    aborts.
+    coefficients of the Witt transform of 1-x taken at -x.
+
+    Checked at every r, any mismatch aborting, by the Moebius inversion
+    run backwards: sum over d | r of (r/d) * g_(r/d)(x^d) = (1 - x)^r with
+    g_m(x) = f^(m)(-x), f^(m) of each proper divisor m read from this
+    memo.  By strong induction on r (g_1 = 1 - x) the d = 1 term is the
+    only unknown, so a passing check proves f.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -117,7 +121,19 @@ def witt_coeffs(r: int) -> Tuple[int, ...]:
         raise ArithmeticError(f"f_1 = {f[1]} != 1 at r={r}")
     if f[0] != (1 if r == 1 else 0):
         raise ArithmeticError(f"f_0 = {f[0]} wrong at r={r}")
-    if witt_transform(IntPolynomial((1, -1)), r).reflect() != IntPolynomial(f):
+    # the check at x^i, times (-1)^i: r * f_i = binom(r, i) minus
+    # (r/d) * (-1)^(i + i/d) * f^(r/d)_(i/d) for each d > 1 dividing i
+    rest = []
+    binom = 1
+    for i in range(r + 1):
+        rest.append(binom)
+        binom = binom * (r - i) // (i + 1)
+    for d in divisors(r)[1:]:
+        m = r // d
+        flip = d % 2 == 0  # (-1)^(q*d + q) is -1 iff d even and q odd
+        for q, c in enumerate(witt_coeffs(m)):
+            rest[q * d] -= -m * c if flip and q % 2 else m * c
+    if [r * c for c in f] != rest:
         raise ArithmeticError(f"Witt coefficient routes disagree at r={r}")
     return tuple(f)
 

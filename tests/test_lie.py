@@ -62,15 +62,25 @@ def test_witt_coeffs_normalization():
 
 def test_witt_coeffs_match_transform_route():
     # same numbers via generic polynomial arithmetic on 1 - x
-    for r in range(1, 301):
+    for r in [*range(1, 301), 360, 420, 720, 840]:
         direct = witt_coeffs(r)
         generic = witt_transform(IntPolynomial((1, -1)), r).reflect()
         assert IntPolynomial(direct) == generic
 
 
+def test_witt_coeffs_do_not_depend_on_cache_order():
+    # cold, the check of 840 fills in its divisors by recursion
+    witt_coeffs.cache_clear()
+    cold = witt_coeffs(840)
+    witt_coeffs.cache_clear()
+    for r in range(1, 841):
+        warm = witt_coeffs(r)
+    assert cold == warm
+
+
 def test_witt_moment_identity():
     # alternating first moment equals the moebius function
-    for r in range(1, 101):
+    for r in [*range(1, 101), 4000]:
         f = witt_coeffs(r)
         moment = sum((-1) ** (j + 1) * j * fj for j, fj in enumerate(f))
         assert moment == moebius(r)
@@ -82,11 +92,18 @@ def test_witt_coeffs_rejects_bad_input():
 
 
 def test_witt_coeffs_cross_check_runs_at_large_r(monkeypatch):
-    # the generic-transform route is compared at every r, not only small ones
-    monkeypatch.setattr(lie, "witt_transform", lambda p, r: IntPolynomial((1,)))
-    witt_coeffs.cache_clear()
-    with pytest.raises(ArithmeticError):
-        witt_coeffs(97)
+    # the divisor-sum check reads f^(m) of each proper divisor m through the
+    # module name; one wrong entry there must abort r itself, whose own
+    # closed sum is untouched, so only the check can fire
+    real = lie.witt_coeffs
+    for r, bad in ((97, 1), (210, 105)):
+        f = real(bad)
+        wrong = f[:-1] + (f[-1] + 1,)
+        with monkeypatch.context() as mp:
+            mp.setattr(lie, "witt_coeffs", lambda m, b=bad, w=wrong: w if m == b else real(m))
+            real.cache_clear()
+            with pytest.raises(ArithmeticError, match="routes disagree"):
+                real(r)
 
 
 # -- column-row and hook multiplicities --------------------------------------
