@@ -30,26 +30,25 @@ connected (rotating any set moves an element into position n and pairing
 then drops it), so the solution is unique when it exists.  The
 dict-and-stack propagation from c_() = 0 is the test oracle
 (tests/brute_force.py).
+
+Both fiber records hold one dense tuple over every mask, zeros included:
+DescentDistribution.table has the 2^(n-1) Des fibers and FiberSolution.table
+the 2^n cDes fibers, as the inversion and the solver build them, so neither
+is rebuilt into a dict.  count(mask) reads the table and gives 0 outside
+it; DescentDistribution.fibers and FiberSolution.counts are read-only
+mappings of the nonzero entries, in increasing mask order.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import and_, eq, lt, ne, sub
 from types import MappingProxyType
-from typing import (
-    Dict,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    TextIO,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 from . import characters
 from .combinat import (
@@ -86,15 +85,51 @@ __all__ = [
     "write_extension",
 ]
 
+
+class _Nonzero(Mapping):
+    """Read-only view of the nonzero entries of a dense table, mask to
+    count, in increasing mask order."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: Tuple[int, ...]):
+        self._table = table
+
+    def __getitem__(self, mask: int) -> int:
+        table = self._table
+        if isinstance(mask, int) and 0 <= mask < len(table) and table[mask]:
+            return table[mask]
+        raise KeyError(mask)
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(range(len(self._table)), self._table)
+
+    def __len__(self) -> int:
+        return len(self._table) - self._table.count(0)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())})"
+
+
+def _entry(table: Tuple[int, ...], mask: int) -> int:
+    return table[mask] if 0 <= mask < len(table) else 0
+
+
 class DescentDistribution(NamedTuple):
-    """Des-fiber sizes of a conjugacy class, keyed by subset mask of
-    [n-1]; only the nonzero fibers are stored."""
+    """Des-fiber sizes of a conjugacy class: table[S] counts the elements
+    with descent set S, for every mask S of [n-1] (2^(n-1) entries)."""
 
     n: int
-    fibers: Dict[int, int]
+    table: Tuple[int, ...]
+
+    @property
+    def fibers(self) -> Mapping[int, int]:
+        """The nonzero fibers, read-only, in increasing mask order."""
+        return _Nonzero(self.table)
 
     def count(self, mask: int) -> int:
-        return self.fibers.get(mask, 0)
+        """table[mask], and 0 for a mask outside [n-1]."""
+        return _entry(self.table, mask)
 
 
 class Infeasible(NamedTuple):
@@ -110,13 +145,20 @@ class Infeasible(NamedTuple):
 
 
 class FiberSolution(NamedTuple):
-    """The unique consistent cDes-fiber sizes c_J (nonzero entries only)."""
+    """The unique consistent cDes-fiber sizes: table[J] = c_J for every
+    mask J of [n] (2^n entries)."""
 
     n: int
-    counts: Dict[int, int]
+    table: Tuple[int, ...]
+
+    @property
+    def counts(self) -> Mapping[int, int]:
+        """The nonzero c_J, read-only, in increasing mask order."""
+        return _Nonzero(self.table)
 
     def count(self, mask: int) -> int:
-        return self.counts.get(mask, 0)
+        """table[mask], and 0 for a mask outside [n]."""
+        return _entry(self.table, mask)
 
 
 class CyclicExtensionSolution(NamedTuple):
@@ -166,11 +208,12 @@ def descent_distribution(mu) -> DescentDistribution:
     elsewhere, so it is >= 0 and at most the class size, and no digit
     borrows.  Every pairing is checked to be at most the class size first.
 
-    Nothing is enumerated, so the class size does not bound the cost; the
-    table has 2^(n-1) entries and solve_extension walks 2^n subsets, so
-    n >= 19 is refused with ValueError before any work.  A pairing
-    over the class size, a negative fiber, or fibers that do not sum to the
-    class size raise ArithmeticError.
+    The unpacked tuple is the distribution's table as it stands.  Nothing
+    is enumerated, so the class size does not bound the cost; the table has
+    2^(n-1) entries and solve_extension walks 2^n subsets, so n >= 19 is
+    refused with ValueError before any work.  A pairing over the class
+    size, a negative fiber, or fibers that do not sum to the class size
+    raise ArithmeticError.
     """
     mu = check_class_type(mu)
     n = sum(mu)
@@ -204,15 +247,15 @@ def descent_distribution(mu) -> DescentDistribution:
         raise ArithmeticError(
             f"negative Des fiber {table[mask]} at {subset_elements(mask)} for {mu}"
         )
-    return _checked_distribution(mu, dict(compress(enumerate(table), table)))
+    return _checked_distribution(mu, table)
 
 
 def _checked_distribution(
-    mu: Tuple[int, ...], fibers: Dict[int, int]
+    mu: Tuple[int, ...], table: Tuple[int, ...]
 ) -> DescentDistribution:
-    if sum(fibers.values()) != class_size(mu):
+    if sum(table) != class_size(mu):
         raise ArithmeticError(f"class size mismatch for {mu}")
-    return DescentDistribution(sum(mu), fibers)
+    return DescentDistribution(sum(mu), table)
 
 
 def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasible]:
@@ -237,13 +280,16 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
       negative-count      some c_J < 0 (reported: the lowest such mask).
     The constraint graph is connected (rotating any set moves an element
     into position n and pairing then drops it), so the solution is unique
-    when it exists.  An n whose 2^n subsets exceed WALK_LIMIT is refused
-    with ValueError before any fiber is read.
+    when it exists.  An n whose 2^n subsets exceed WALK_LIMIT, or a table
+    without exactly 2^(n-1) entries, is refused with ValueError before any
+    fiber is read.
     """
     n = dist.n
     check_walk(subset_walk(n), f"the subsets of [{n}]")
-    top = 1 << (n - 1)
-    f = list(map(dist.fibers.get, range(top), repeat(0)))
+    f = dist.table
+    if n < 1 or len(f) != 1 << (n - 1):
+        raise ValueError(f"a Des table of S_{n} needs 2^(n-1) entries, got {len(f)}")
+    top = len(f)
     low = [0] * top  # L[j] = c_j
     high = [0] * top  # H[j] = c_(j u {n}); H[top - 1] = c_[n] = 0
     low[-1] = f[-1]
@@ -265,7 +311,7 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
     if min(c) < 0:
         mask = list(map(lt, c, repeat(0))).index(True)
         return Infeasible("negative-count", subset_elements(mask))
-    return FiberSolution(n, dict(compress(enumerate(c), c)))
+    return FiberSolution(n, tuple(c))
 
 
 def _escher_note(mu: Tuple[int, ...]) -> str:
@@ -295,13 +341,14 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     elements = tuple(conjugacy_class(mu))  # lexicographic
     des = list(map(descent_set, elements))
-    dist = _checked_distribution(mu, dict(Counter(des)))
-    sol = solve_extension(dist)
+    top = 1 << (n - 1)
+    counts = Counter(des)
+    table = tuple(counts[d] for d in range(top))
+    sol = solve_extension(_checked_distribution(mu, table))
     if isinstance(sol, Infeasible):
         note = _escher_note(mu)
         return Infeasible(sol.reason, sol.subset, note) if note else sol
-    top = 1 << (n - 1)
-    head = {d: sol.count(d | top) for d in dist.fibers}  # left to get n, per D
+    head = list(sol.table[top:])  # c_(D u {n}): left to get n, per D
     cdes = []
     for d in des:
         if head[d]:
@@ -334,13 +381,14 @@ def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
     whole = len(cdes) == len(elements)  # one cDes per class element
     restricted = map(and_, cdes, repeat(~(1 << (n - 1))))  # cDes without n
     rotated = {j: rotate_subset(j, n) for j in set(cdes) if 0 <= j <= full}
+    nonzero = {j: c for j, c in enumerate(sol.fibers.table) if c}
     return {
         "extension": whole and all(map(eq, restricted, map(descent_set, elements))),
         "equivariance": whole
         and sorted(p) == list(range(len(cdes)))  # p is a bijection
         and list(map(cdes.__getitem__, p)) == list(map(rotated.get, cdes)),
         "non-escher": all(0 < j < full for j in cdes),
-        "fiber-counts": dict(Counter(cdes)) == sol.fibers.counts,
+        "fiber-counts": dict(Counter(cdes)) == nonzero,
     }
 
 
@@ -486,7 +534,7 @@ def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
         fh.write(sep + ",\n".join(records))
         sep = ",\n"
     fh.write("]" if sep == "\n" else "\n ]")  # no element: "elements": []
-    counts = sorted(sol.fibers.counts.items())
+    counts = [(j, c) for j, c in enumerate(sol.fibers.table) if c]
     rows = ",\n".join(_FIBER % (c, _int_list(subset_elements(j))) for j, c in counts)
     fh.write(
         ',\n "fibers": [%s],\n "mu": %s,\n "n": %d\n}'

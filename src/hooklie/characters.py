@@ -6,11 +6,13 @@ characters come from Thrall's plethysm: the Frobenius image of psi^mu is
 the product over part sizes i of h_(k_i)[Lie_i], with k_i the number of
 parts i of mu and Lie_i = (1/i) sum over d | i of moebius(d) p_d^(i/d).
 It is expanded once per class in a sparse power-sum algebra over the
-integers, each factor scaled by k_i! i^(k_i): i Lie_i has integer
-coefficients, and k! i^k h_k[Lie_i] = sum over lam |- k of (k!/z_lam)
-i^(k - l(lam)) prod_j p_(lam_j)[i Lie_i].  The product of the scaled
-factors is z_mu ch psi^mu, so _frobenius keeps den = z_mu and the integer
-numerators c_nu = den [p_nu] ch psi^mu.  z_mu is the least common
+integers, held as tuples of (nu, coefficient) pairs, so no memoized value
+can be changed by a caller.  Each factor is scaled by k_i! i^(k_i): i Lie_i
+has integer coefficients, and k! i^k h_k[Lie_i] = sum over lam |- k of
+(k!/z_lam) i^(k - l(lam)) prod_j p_(lam_j)[i Lie_i].  It is built once per
+(k_i, i) and shared by every class with k_i parts of size i.  The product
+of the scaled factors is z_mu ch psi^mu, so _frobenius keeps den = z_mu and
+the integer numerators c_nu = den [p_nu] ch psi^mu.  z_mu is the least common
 denominator: psi^mu is induced from a linear character of the centralizer,
 whose order is z_mu, and [p_(1^n)] ch psi^mu = 1/z_mu.  No group element
 is enumerated and no fraction is formed.
@@ -38,7 +40,7 @@ only a rectangle can lack a cyclic descent extension; acceptance criterion
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul
 from typing import Dict, Iterator, Tuple
@@ -111,60 +113,62 @@ def _mn(lam: tuple, mu: tuple) -> int:
 
 # -- higher Lie characters ---------------------------------------------------
 
-# Symmetric functions of degree n in the power-sum basis: a dict from a
-# partition nu to the integer coefficient of p_nu, nonzero coefficients only.
-PowerSum = Dict[Tuple[int, ...], int]
+# Symmetric functions of degree n in the power-sum basis: a tuple of the
+# pairs (nu, integer coefficient of p_nu), nonzero coefficients only, so a
+# memoized value cannot be changed by a caller.
+PowerSum = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 
 def _ps_mul(f: PowerSum, g: PowerSum) -> PowerSum:
-    out: PowerSum = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
+    out: Dict[Tuple[int, ...], int] = {}
+    for a, ca in f:
+        for b, cb in g:
             key = tuple(sorted(a + b, reverse=True))
             out[key] = out.get(key, 0) + ca * cb
-    return {key: c for key, c in out.items() if c}
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def _ps_adams(m: int, f: PowerSum) -> PowerSum:
     """The plethysm p_m[f]: every p_d becomes p_(md)."""
-    return {tuple(m * d for d in key): c for key, c in f.items()}
+    return tuple((tuple(m * d for d in key), c) for key, c in f)
 
 
 def _lie_ps(i: int) -> PowerSum:
     """i Lie_i = sum over d | i of moebius(d) p_d^(i/d)."""
-    return {(d,) * (i // d): moebius(d) for d in divisors(i) if moebius(d)}
-
-
-def _h_plethysm(k: int, i: int) -> PowerSum:
-    """k! i^k h_k[Lie_i] = sum over lam |- k of (k!/z_lam) i^(k - l(lam))
-    prod_j p_(lam_j)[i Lie_i], since p_m[Lie_i] = p_m[i Lie_i] / i; k!/z_lam
-    is the size of the class lam, an integer."""
-    lie = _lie_ps(i)
-    adams = {m: _ps_adams(m, lie) for m in range(1, k + 1)}
-    k_factorial = math.factorial(k)
-    total: PowerSum = {}
-    for lam in partition_list(k):
-        term = {(): k_factorial // centralizer_order(lam) * i ** (k - len(lam))}
-        for part in lam:
-            term = _ps_mul(term, adams[part])
-        for key, c in term.items():
-            total[key] = total.get(key, 0) + c
-    return {key: c for key, c in total.items() if c}
+    return tuple(((d,) * (i // d), moebius(d)) for d in divisors(i) if moebius(d))
 
 
 @lru_cache(maxsize=None)
-def _frobenius(mu: Tuple[int, ...]) -> Tuple[int, tuple]:
+def _h_plethysm(k: int, i: int) -> PowerSum:
+    """k! i^k h_k[Lie_i] = sum over lam |- k of (k!/z_lam) i^(k - l(lam))
+    prod_j p_(lam_j)[i Lie_i], since p_m[Lie_i] = p_m[i Lie_i] / i; k!/z_lam
+    is the size of the class lam, an integer.  Memoized once per (k, i):
+    every class with k parts of size i shares the factor."""
+    lie = _lie_ps(i)
+    adams = {m: _ps_adams(m, lie) for m in range(1, k + 1)}
+    k_factorial = math.factorial(k)
+    total: Dict[Tuple[int, ...], int] = {}
+    for lam in partition_list(k):
+        scale = k_factorial // centralizer_order(lam) * i ** (k - len(lam))
+        term: PowerSum = (((), scale),)
+        for part in lam:
+            term = _ps_mul(term, adams[part])
+        for key, c in term:
+            total[key] = total.get(key, 0) + c
+    return tuple((key, c) for key, c in total.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _frobenius(mu: Tuple[int, ...]) -> Tuple[int, PowerSum]:
     """ch psi^mu = prod over part sizes i of h_(k_i)[Lie_i] (Thrall), with
     k_i the number of parts i of mu, scaled to integers: (z_mu, ((nu, c_nu),
     ...)) with c_nu = z_mu [p_nu] ch psi^mu, nonzero ones only.  Since
-    z_mu = prod over i of k_i! i^(k_i), the product of the factors
+    z_mu = prod over i of k_i! i^(k_i), the product of the shared factors
     _h_plethysm(k_i, i) is z_mu ch psi^mu; z_mu is its least common
     denominator, as [p_(1^n)] ch psi^mu = 1/z_mu.  The one memo every
     pairing reads."""
-    ch: PowerSum = {(): 1}
-    for i in sorted(set(mu)):
-        ch = _ps_mul(ch, _h_plethysm(mu.count(i), i))
-    return centralizer_order(mu), tuple(ch.items())
+    factors = [_h_plethysm(mu.count(i), i) for i in sorted(set(mu))]
+    return centralizer_order(mu), reduce(_ps_mul, factors)
 
 
 def _count(acc: int, den: int, what: str, mu: tuple, lam: tuple) -> int:
@@ -322,5 +326,6 @@ def clear_memo() -> None:
     _R_MEMO.clear()
     _r_rows.cache_clear()
     _frobenius.cache_clear()
+    _h_plethysm.cache_clear()
     _adams_factor.cache_clear()
     _hook_factor.cache_clear()

@@ -18,7 +18,9 @@ h_pairings_by_necklaces counts, for every lam, the multisets of primitive
 necklaces with lengths mu and total content lam, which is <ch psi^mu,
 h_lam> (Gessel and Reutenauer, JCTA 64, 1993); it is the reference for
 hooklie.characters.h_pairings and reads neither Thrall's plethysm nor any
-character value.
+character value.  It is memoized and returns a read-only mapping, so the
+tests that read it on every class with n <= 9 (the pairings, and the Des
+fibers and main theorem with no plethysm) count each class's necklaces once.
 
 descent_distribution_by_enumeration walks the conjugacy class and counts
 each descent set; it is the reference for the Gessel-Reutenauer route of
@@ -55,7 +57,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add
-from typing import Dict, Iterator, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Tuple
 
 from hooklie.cdes import DescentDistribution, FiberSolution, Infeasible
 from hooklie.combinat import (
@@ -226,7 +229,8 @@ def _primitive_necklaces(beta: tuple[int, ...]) -> int:
     return total // size
 
 
-def h_pairings_by_necklaces(mu) -> Dict[tuple, int]:
+@lru_cache(maxsize=None)
+def h_pairings_by_necklaces(mu: Tuple[int, ...]) -> Mapping[tuple, int]:
     """{lam: multisets of primitive necklaces with lengths mu and total
     content lam} over every lam |- n.  For each part size i, with k parts
     of mu, the multisets of k necklaces of length i are counted by content
@@ -264,17 +268,23 @@ def h_pairings_by_necklaces(mu) -> Dict[tuple, int]:
                         merged[g] = merged.get(g, 0) + c * c2
             total = merged
         out[lam] = total.get(lam, 0)
-    return out
+    return MappingProxyType(out)
+
+
+def dense_table(counts: Mapping[int, int], size: int) -> Tuple[int, ...]:
+    """The counts by mask as a table over the masks 0 .. size - 1, zeros
+    included, as DescentDistribution and FiberSolution hold them."""
+    return tuple(counts.get(mask, 0) for mask in range(size))
 
 
 def descent_distribution_by_enumeration(mu) -> DescentDistribution:
     """Des-fiber sizes of the class of mu by walking every element."""
     mu = tuple(mu)
-    fibers: Dict[int, int] = {}
+    n = sum(mu)
+    table = [0] * (1 << (n - 1))
     for pi in conjugacy_class(mu):
-        d = descent_set(pi)
-        fibers[d] = fibers.get(d, 0) + 1
-    return DescentDistribution(sum(mu), fibers)
+        table[descent_set(pi)] += 1
+    return DescentDistribution(n, tuple(table))
 
 
 def solve_extension_by_propagation(dist: DescentDistribution):
@@ -285,7 +295,7 @@ def solve_extension_by_propagation(dist: DescentDistribution):
     n = dist.n
     top = 1 << (n - 1)
     full = full_mask(n)
-    fiber = dist.fibers.get
+    fiber = dist.table
     c = {0: 0}
     stack = [0]
     while stack:
@@ -293,9 +303,9 @@ def solve_extension_by_propagation(dist: DescentDistribution):
         v = c[j]
         rot = ((j << 1) | (j >> (n - 1))) & full
         if j & top:
-            partner, pv = j ^ top, fiber(j ^ top, 0) - v
+            partner, pv = j ^ top, fiber[j ^ top] - v
         else:
-            partner, pv = j | top, fiber(j, 0) - v
+            partner, pv = j | top, fiber[j] - v
         for k, kv in ((rot, v), (partner, pv)):
             known = c.get(k)
             if known is None:
@@ -310,7 +320,7 @@ def solve_extension_by_propagation(dist: DescentDistribution):
     for j in range(full + 1):
         if c[j] < 0:
             return Infeasible("negative-count", subset_elements(j))
-    return FiberSolution(n, {j: v for j, v in c.items() if v})
+    return FiberSolution(n, dense_table(c, full + 1))
 
 
 def extension_records(sol) -> dict:
@@ -321,7 +331,8 @@ def extension_records(sol) -> dict:
         "n": sol.n,
         "fibers": [
             {"subset": list(subset_elements(j)), "count": c}
-            for j, c in sorted(sol.fibers.counts.items())
+            for j, c in enumerate(sol.fibers.table)
+            if c
         ],
         "elements": [
             {

@@ -15,14 +15,17 @@ from collections import Counter
 
 import pytest
 from brute_force import (
+    dense_table,
     descent_distribution_by_enumeration,
     extension_records,
+    h_pairings_by_necklaces,
     solve_extension_by_propagation,
 )
 
 from hooklie import cdes, characters, combinat
 from hooklie.cdes import (
     CyclicExtensionSolution,
+    DescentDistribution,
     FiberSolution,
     Infeasible,
     affine_ribbon_fiber,
@@ -38,8 +41,10 @@ from hooklie.cdes import (
 from hooklie.characters import schur_multiplicities
 from hooklie.combinat import (
     class_size,
+    conjugacy_class,
     descent_set,
     full_mask,
+    is_squarefree,
     mask_from_elements,
     partition_list,
     rotate_subset,
@@ -80,6 +85,49 @@ def test_distribution_identity_class():
     assert sum(dist.fibers.values()) == 1
 
 
+def test_count_is_zero_outside_the_table():
+    # count never follows a negative index, nor runs past the table
+    dist = descent_distribution((3, 1))
+    sol = solve_extension(dist)
+    for record in (dist, sol):
+        table = record.table
+        assert record.count(-1) == record.count(len(table)) == 0
+        assert record.count(-len(table)) == record.count(1 << 40) == 0
+        assert [record.count(m) for m in range(len(table))] == list(table)
+
+
+def test_nonzero_views_match_the_enumerated_counts():
+    for mu in [(4,), (3, 1), (2, 2), (2, 1, 1), (3, 2, 1)]:
+        n = sum(mu)
+        elements = list(conjugacy_class(mu))
+        dist = descent_distribution(mu)
+        assert len(dist.table) == 1 << (n - 1)
+        des = dict(Counter(map(descent_set, elements)))
+        views = [(dist.table, dist.fibers, des)]
+        sol = construct_extension(mu)
+        if not isinstance(sol, Infeasible):
+            assert len(sol.fibers.table) == 1 << n
+            views.append((sol.fibers.table, sol.fibers.counts, dict(Counter(sol.cdes))))
+        for table, view, counted in views:
+            assert view == counted and counted == view, mu
+            # zero masks are left out; the rest come in increasing mask order
+            assert list(view) == sorted(counted) == [m for m, c in enumerate(table) if c]
+            assert list(view.items()) == sorted(counted.items())
+            assert list(view.values()) == [counted[m] for m in sorted(counted)]
+            assert len(view) == len(counted)
+            zero = table.index(0)
+            assert zero not in view and view.get(zero) is None
+            with pytest.raises(KeyError):
+                view[zero]
+            for key in (-1, len(table), "1"):
+                assert key not in view
+            with pytest.raises(TypeError):
+                view[zero] = 1
+            with pytest.raises(TypeError):
+                del view[min(counted)]
+            assert view == counted  # unchanged
+
+
 def test_distribution_rejects_oversized_class():
     # the 2^19 subsets of [19] are over the walk limit, whatever the class size
     for mu in ((19,), (1,) * 19):
@@ -117,8 +165,13 @@ def test_walk_counts_saturate_past_the_limit():
     assert combinat.ribbon_walk(10**12) == cap
 
 
-class _NoWork(dict):
-    def get(self, *args):
+class _NoWork(tuple):
+    """A table whose entries fail the test if any is read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("work started on a refused input")
+
+    def __iter__(self):
         raise AssertionError("work started on a refused input")
 
 
@@ -135,7 +188,17 @@ def test_walks_over_the_limit_are_refused_before_any_work(monkeypatch):
             with pytest.raises(ValueError, match="walk limit"):
                 call(mu)
     with pytest.raises(ValueError, match="walk limit"):
-        solve_extension(cdes.DescentDistribution(19, _NoWork({0: 1})))
+        solve_extension(cdes.DescentDistribution(19, _NoWork((1,))))
+
+
+@pytest.mark.parametrize(
+    "n, length", [(0, 0), (0, 1), (1, 0), (1, 2), (3, 3), (3, 5), (3, 8), (5, 15), (5, 32)]
+)
+def test_solver_refuses_a_table_of_the_wrong_length(n, length):
+    # the Des table of S_n has 2^(n-1) entries (S_0 has none); any other
+    # length is refused before an entry is read
+    with pytest.raises(ValueError, match=re.escape("2^(n-1) entries")):
+        solve_extension(DescentDistribution(n, _NoWork((0,) * length)))
 
 
 def test_ribbon_routes_refuse_a_class_over_the_limit(monkeypatch):
@@ -210,9 +273,7 @@ def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
         want = _moebius_by_loop(n, doctored)
         lowest = next((m for m, v in enumerate(want) if v < 0), None)
         if lowest is None:
-            assert descent_distribution(mu).fibers == {
-                m: v for m, v in enumerate(want) if v
-            }
+            assert descent_distribution(mu).table == tuple(want)
             continue
         negatives += 1
         message = f"negative Des fiber {want[lowest]} at {subset_elements(lowest)} "
@@ -297,6 +358,24 @@ def test_solver_feasibility_matches_certificate_dichotomy():
             assert isinstance(sol, Infeasible) == expect_infeasible, mu
 
 
+def test_des_fibers_and_main_theorem_with_no_plethysm():
+    # Gessel-Reutenauer's necklace pairings, inverted over a plain list, give
+    # the Des fibers with no plethysm and no packed arithmetic; the
+    # propagation solver on them finds an extension exactly for the classes
+    # that are not (r^s) with r square-free, on every class with n <= 9
+    # (one n past criterion 3's enumeration)
+    classes = 0
+    for n in range(1, 10):
+        for mu in partition_list(n):
+            table = tuple(_moebius_by_loop(n, h_pairings_by_necklaces(mu)))
+            assert descent_distribution(mu).table == table, mu
+            sol = solve_extension_by_propagation(DescentDistribution(n, table))
+            rectangle = len(set(mu)) == 1 and is_squarefree(mu[0])
+            assert isinstance(sol, Infeasible) == rectangle, mu
+            classes += 1
+    assert classes == 96
+
+
 def test_solver_matches_propagation_oracle():
     # verdict, reason, subset and counts, on every class with n <= 12
     for n in range(1, 13):
@@ -319,10 +398,10 @@ def _doctored(rng: random.Random, n: int) -> cdes.DescentDistribution:
             while k not in c:
                 c[k] = v
                 k = rotate_subset(k, n)
-    fibers = {j: c[j] + c[j | top] for j in range(top)}
+    fibers = [c[j] + c[j | top] for j in range(top)]
     if rng.random() < 0.5:
         fibers[rng.randrange(top)] += rng.choice((-1, 1))
-    return cdes.DescentDistribution(n, {j: v for j, v in fibers.items() if v})
+    return cdes.DescentDistribution(n, tuple(fibers))
 
 
 def test_solver_matches_propagation_oracle_on_doctored_distributions():
@@ -359,7 +438,7 @@ def test_conflicting_counts_reports_the_lowest_unrotated_mask():
     # n = 3: the pass gives c_{1} = f_{1} - f_{1,2} and c_{2} = f_{2} - f_{1,2},
     # so f_{1} != f_{2} breaks c_{1} = c_{2}, and {1} is the lowest such mask
     # (the propagation from c_() = 0 reports {2} instead)
-    dist = cdes.DescentDistribution(3, {M(1): 1, M(2): 2})
+    dist = cdes.DescentDistribution(3, dense_table({M(1): 1, M(2): 2}, 4))
     assert solve_extension(dist) == Infeasible("conflicting-counts", (1,))
     assert solve_extension_by_propagation(dist).subset == (2,)
     rng = random.Random(7)
@@ -382,8 +461,8 @@ def test_solver_checks_the_rotation_of_sets_containing_n():
     # {2,5} -> {1,3} break, and {2,5} is the lower of the two
     counts = {M(1, 3): 1, M(2, 4): 1, M(3, 5): 1, M(1, 4): 2, M(2, 5): 2}
     top = M(5)
-    fibers = {j: counts.get(j, 0) + counts.get(j | top, 0) for j in range(top)}
-    dist = cdes.DescentDistribution(5, {j: v for j, v in fibers.items() if v})
+    fibers = tuple(counts.get(j, 0) + counts.get(j | top, 0) for j in range(top))
+    dist = cdes.DescentDistribution(5, fibers)
     assert solve_extension(dist) == Infeasible("conflicting-counts", (2, 5))
     assert solve_extension_by_propagation(dist).reason == "conflicting-counts"
 
@@ -531,9 +610,9 @@ def test_write_extension_matches_json_dump():
 
 def test_write_extension_renders_empty_lists():
     # not extensions, only inputs that reach the empty-list branches
-    empty = CyclicExtensionSolution((2,), 2, FiberSolution(2, {}), (), (), ())
+    empty = CyclicExtensionSolution((2,), 2, FiberSolution(2, (0,) * 4), (), (), ())
     identity = CyclicExtensionSolution(
-        (1, 1), 2, FiberSolution(2, {0: 1}), ((1, 2),), (0,), (0,)
+        (1, 1), 2, FiberSolution(2, dense_table({0: 1}, 4)), ((1, 2),), (0,), (0,)
     )
     for sol in (empty, identity):
         want = json.dumps(extension_records(sol), sort_keys=True, indent=1)
@@ -552,7 +631,7 @@ def test_write_extension_blocks_match_json_dump(size):
     sol = CyclicExtensionSolution(
         (6, 1),
         7,
-        FiberSolution(7, dict(Counter(cdes_masks))),
+        FiberSolution(7, dense_table(Counter(cdes_masks), 1 << 7)),
         whole.elements[:size],
         cdes_masks,
         tuple((i + 1) % size for i in range(size)),

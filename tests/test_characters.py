@@ -386,3 +386,26 @@ def test_adams_factors_are_built_once_per_part_count(fresh_memo):
     characters.clear_memo()
     hook_mults_oracle((1,) * 30)
     assert characters._adams_factor.cache_info().currsize == 30
+
+
+def test_plethysm_factors_are_shared_and_cannot_be_changed(fresh_memo):
+    # h_2[Lie_3] is built once and shared by (3,3,1) and (3,3,2)
+    characters._frobenius((3, 3, 1))
+    characters._frobenius((3, 3, 2))
+    info = characters._h_plethysm.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
+    factor = characters._h_plethysm(2, 3)
+    # tuples all the way down: hashable, with no item to assign
+    hash(factor)
+    with pytest.raises(TypeError):
+        factor[0] = ((6,), 1)
+    with pytest.raises(TypeError):
+        factor[0][0][0] = 1
+    # a class with one part size hands out the factor itself, so its
+    # expansion is as immutable
+    den, terms = characters._frobenius((3, 3))
+    assert terms is factor and den == 18
+    assert dict(terms) == frobenius_over_fractions((3, 3))[1]
+    characters.clear_memo()
+    assert characters._h_plethysm.cache_info().currsize == 0
+    assert characters._h_plethysm(2, 3) == factor

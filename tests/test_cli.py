@@ -538,16 +538,16 @@ def test_gr_fibers_mismatch_names_the_moved_masks(monkeypatch, capsys):
     # one unit of the class (2,1,1)'s Des table moved from one mask to another
     true_distribution = cdes.descent_distribution
     mu = (2, 1, 1)
-    fibers = dict(true_distribution(mu).fibers)
-    src = min(fibers)
+    fibers = list(true_distribution(mu).table)
+    src = min(mask for mask, c in enumerate(fibers) if c)
     dst = next(mask for mask in range(7, -1, -1) if mask != src)
     fibers[src] -= 1
-    fibers[dst] = fibers.get(dst, 0) + 1
-    tampered = {mask: c for mask, c in fibers.items() if c}
+    fibers[dst] += 1
+    tampered = tuple(fibers)
 
     def moved(nu):
         dist = true_distribution(nu)
-        return dist._replace(fibers=tampered) if nu == mu else dist
+        return dist._replace(table=tampered) if nu == mu else dist
 
     monkeypatch.setattr(cdes, "descent_distribution", moved)
     code, doc, _ = run_json(["verify", "gr-fibers", "--n-max", "4"], capsys)

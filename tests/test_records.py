@@ -77,12 +77,19 @@ def test_certificate_is_a_plain_tuple_exactly_when_feasible():
 
 def test_solutions_built_without_axioms_share_no_mutable_object():
     def build():
-        fibers = cdes.FiberSolution(4, {3: 1})
+        fibers = cdes.FiberSolution(4, (0, 0, 0, 1) + (0,) * 12)
         return cdes.CyclicExtensionSolution((3, 1), 4, fibers, (), (), ())
 
     a, b = build(), build()
     shared = [x for x, y in zip(a, b) if x is y]
     assert not [x for x in shared if isinstance(x, (dict, list, set))]
+    # the fiber records hold tuples only, so nothing in them can be shared
+    # and changed
+    for record in (a.fibers, cdes.descent_distribution((3, 1))):
+        assert not [x for x in record if isinstance(x, (dict, list, set))]
+        assert type(record.table) is tuple
+    with pytest.raises(TypeError):
+        a.fibers.counts[3] = 2
     with pytest.raises(TypeError):
         a.axioms["exhaustive"] = True
     assert a.axioms == b.axioms == {}
