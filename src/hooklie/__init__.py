@@ -17,6 +17,9 @@ cdes        descent fibers, cyclic extension solver and constructor
 cli         command line front end (`hooklie`, or `python -m hooklie`)
 """
 
+import sys
+
+from . import lie
 from .characters import (
     character_value,
     hook_mults_oracle,
@@ -54,6 +57,18 @@ from .series import BiSeries, IntPolynomial, witt_transform
 
 __version__ = "0.1.0"
 
+
+def clear_memos() -> None:
+    """Drop every process-lifetime memo: each functools.lru_cache on the
+    package's loaded modules, and lie._COLUMN_ROWS, one column-row table
+    per r, rebuilt when a larger s is asked, so not an lru_cache."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    lie._COLUMN_ROWS.clear()
+
 __all__ = [
     "BiSeries",
     "CyclicExtensionSolution",
@@ -65,6 +80,7 @@ __all__ = [
     "centralizer_order",
     "character_value",
     "class_size",
+    "clear_memos",
     "column_row_mults",
     "column_row_series",
     "construct_extension",

@@ -219,7 +219,7 @@ def descent_distribution(mu) -> DescentDistribution:
     n = sum(mu)
     check_walk(subset_walk(n), f"the subsets of [{n}]")
     size = class_size(mu)
-    pairings = characters.h_pairings(mu)
+    pairings = characters._h_pairings(mu)
     values = [pairings[lam] for lam in partition_list(n)]
     if max(values) > size:
         raise ArithmeticError(f"a pairing of {mu} exceeds the class size {size}")
@@ -247,13 +247,13 @@ def descent_distribution(mu) -> DescentDistribution:
         raise ArithmeticError(
             f"negative Des fiber {table[mask]} at {subset_elements(mask)} for {mu}"
         )
-    return _checked_distribution(mu, table)
+    return _checked_distribution(mu, table, size)
 
 
 def _checked_distribution(
-    mu: Tuple[int, ...], table: Tuple[int, ...]
+    mu: Tuple[int, ...], table: Tuple[int, ...], size: int
 ) -> DescentDistribution:
-    if sum(table) != class_size(mu):
+    if sum(table) != size:
         raise ArithmeticError(f"class size mismatch for {mu}")
     return DescentDistribution(sum(mu), table)
 
@@ -344,7 +344,7 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     top = 1 << (n - 1)
     counts = Counter(des)
     table = tuple(counts[d] for d in range(top))
-    sol = solve_extension(_checked_distribution(mu, table))
+    sol = solve_extension(_checked_distribution(mu, table, class_size(mu)))
     if isinstance(sol, Infeasible):
         note = _escher_note(mu)
         return Infeasible(sol.reason, sol.subset, note) if note else sol

@@ -46,7 +46,7 @@ from operator import add, mul
 from typing import Dict, Iterator, Tuple
 
 from .combinat import (
-    centralizer_order,
+    _centralizer_order,
     check_class_type,
     divisors,
     is_partition,
@@ -60,13 +60,10 @@ __all__ = [
     "schur_multiplicities",
     "hook_mults_oracle",
     "h_pairings",
-    "clear_memo",
 ]
 
 
 # -- Murnaghan-Nakayama ------------------------------------------------------
-
-_MN_MEMO: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
 
 
 def _strip_removals(lam: tuple, t: int) -> Iterator[tuple]:
@@ -95,19 +92,15 @@ def character_value(lam, mu) -> int:
     return _mn(lam, mu)
 
 
+@lru_cache(maxsize=None)
 def _mn(lam: tuple, mu: tuple) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    hit = _MN_MEMO.get(key)
-    if hit is not None:
-        return hit
     total = 0
     rest = mu[1:]
     for lam2, height in _strip_removals(lam, mu[0]):
         term = _mn(lam2, rest)
         total += -term if height % 2 else term
-    _MN_MEMO[key] = total
     return total
 
 
@@ -149,7 +142,7 @@ def _h_plethysm(k: int, i: int) -> PowerSum:
     k_factorial = math.factorial(k)
     total: Dict[Tuple[int, ...], int] = {}
     for lam in partition_list(k):
-        scale = k_factorial // centralizer_order(lam) * i ** (k - len(lam))
+        scale = k_factorial // _centralizer_order(lam) * i ** (k - len(lam))
         term: PowerSum = (((), scale),)
         for part in lam:
             term = _ps_mul(term, adams[part])
@@ -168,7 +161,7 @@ def _frobenius(mu: Tuple[int, ...]) -> Tuple[int, PowerSum]:
     denominator, as [p_(1^n)] ch psi^mu = 1/z_mu.  The one memo every
     pairing reads."""
     factors = [_h_plethysm(mu.count(i), i) for i in sorted(set(mu))]
-    return centralizer_order(mu), reduce(_ps_mul, factors)
+    return _centralizer_order(mu), reduce(_ps_mul, factors)
 
 
 def _count(acc: int, den: int, what: str, mu: tuple, lam: tuple) -> int:
@@ -182,11 +175,10 @@ def _count(acc: int, den: int, what: str, mu: tuple, lam: tuple) -> int:
     return acc // den
 
 
-def _pairings(mu, column, what: str) -> Dict[Tuple[int, ...], int]:
+def _pairings(mu: tuple, column, what: str) -> Dict[Tuple[int, ...], int]:
     """{lam: sum over nu of [p_nu] ch psi^mu * column(nu)[lam]} over every
-    lam |- n, one column per nonzero coefficient, each pairing checked by
-    _count to be an integer >= 0; what names it, formatted with mu and lam."""
-    mu = check_class_type(mu)
+    lam |- n, for a checked mu: one column per nonzero coefficient, each
+    pairing an integer >= 0 by _count; what names it, formatted with mu, lam."""
     lams = partition_list(sum(mu))
     den, terms = _frobenius(mu)
     acc = [0] * len(lams)
@@ -201,7 +193,7 @@ def schur_multiplicities(mu) -> Dict[Tuple[int, ...], int]:
     chi^lam(nu), over the nonzero coefficients only.  Each must be an
     integer >= 0; ArithmeticError otherwise."""
     return _pairings(
-        mu,
+        check_class_type(mu),
         lambda nu, lams: [_mn(lam, nu) for lam in lams],
         "multiplicity of {lam} in psi^{mu}",
     )
@@ -259,9 +251,8 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
 
 # -- Gessel-Reutenauer pairings ----------------------------------------------
 
-_R_MEMO: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
 
-
+@lru_cache(maxsize=None)
 def _drop_count(parts: Tuple[int, ...], caps: Tuple[int, ...]) -> int:
     """R(parts, caps): the ways to drop the parts (distinguishable, largest
     first) into labelled blocks of remaining capacities caps (decreasing,
@@ -276,10 +267,6 @@ def _drop_count(parts: Tuple[int, ...], caps: Tuple[int, ...]) -> int:
     first = parts[0]
     if first > caps[0]:
         return 0
-    key = (parts, caps)
-    hit = _R_MEMO.get(key)
-    if hit is not None:
-        return hit
     rest = parts[1:]
     total = 0
     i, ell = 0, len(caps)
@@ -295,7 +282,6 @@ def _drop_count(parts: Tuple[int, ...], caps: Tuple[int, ...]) -> int:
             others = tuple(sorted(others + (left,), reverse=True))
         total += (j - i) * _drop_count(rest, others)
         i = j
-    _R_MEMO[key] = total
     return total
 
 
@@ -315,17 +301,9 @@ def h_pairings(mu) -> Dict[Tuple[int, ...], int]:
     alpha(S) a rearrangement of lam.  Each pairing is checked to be an
     integer >= 0; ArithmeticError otherwise.
     """
-    return _pairings(
-        mu, lambda nu, lams: _r_rows(sum(nu))[nu], "<ch psi^{mu}, h_{lam}>"
-    )
+    return _h_pairings(check_class_type(mu))
 
 
-def clear_memo() -> None:
-    """Drop all memoized character data (mainly for tests)."""
-    _MN_MEMO.clear()
-    _R_MEMO.clear()
-    _r_rows.cache_clear()
-    _frobenius.cache_clear()
-    _h_plethysm.cache_clear()
-    _adams_factor.cache_clear()
-    _hook_factor.cache_clear()
+def _h_pairings(mu: tuple) -> Dict[Tuple[int, ...], int]:
+    """h_pairings of a checked class type mu."""
+    return _pairings(mu, lambda nu, lams: _r_rows(sum(nu))[nu], "<ch psi^{mu}, h_{lam}>")

@@ -147,22 +147,21 @@ def partition_list(n: int) -> tuple[tuple[int, ...], ...]:
 
 def centralizer_order(mu) -> int:
     """prod_i i^(k_i) k_i! over part multiplicities k_i of mu."""
-    mu = _check_partition(mu)
+    return _centralizer_order(_check_partition(mu))
+
+
+def _centralizer_order(mu: tuple[int, ...]) -> int:
+    """centralizer_order of a partition already checked."""
     z = 1
-    i = 0
-    while i < len(mu):
-        j = i
-        while j < len(mu) and mu[j] == mu[i]:
-            j += 1
-        k = j - i
-        z *= mu[i] ** k * math.factorial(k)
-        i = j
+    for i in set(mu):
+        k = mu.count(i)
+        z *= i**k * math.factorial(k)
     return z
 
 
 def class_size(mu) -> int:
     mu = _check_partition(mu)
-    return math.factorial(sum(mu)) // centralizer_order(mu)
+    return math.factorial(sum(mu)) // _centralizer_order(mu)
 
 
 # -- the walk limit ----------------------------------------------------------
@@ -435,21 +434,23 @@ def mask_from_elements(elems) -> int:
 # -- standard tableaux and Kostka numbers ------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _syt_table(shape: tuple[int, ...]) -> dict[tuple[int, int], int]:
+def _syt_table(shape: tuple[int, ...], tables: dict) -> dict[tuple[int, int], int]:
     # {(row of n, Des mask): count} over the standard tableaux of the shape,
     # by removing n from each corner i and recursing on the smaller shape:
-    # n - 1 is a descent exactly when i is below the row of n - 1
+    # n - 1 is a descent exactly when i is below the row of n - 1.  tables
+    # holds the sub-shape tables of one syt_descent_counts call
     n = sum(shape)
     if n <= 1:
         return {(0, 0): 1}
+    if shape in tables:
+        return tables[shape]
     bit = 1 << (n - 2)
-    table: dict[tuple[int, int], int] = {}
+    table = tables[shape] = {}
     for i, part in enumerate(shape):
         if i + 1 < len(shape) and shape[i + 1] == part:
             continue  # not a corner
         smaller = shape[:i] + (part - 1,) + shape[i + 1 :] if part > 1 else shape[:i]
-        for (row, mask), count in _syt_table(smaller).items():
+        for (row, mask), count in _syt_table(smaller, tables).items():
             key = (i, mask | bit) if row < i else (i, mask)
             table[key] = table.get(key, 0) + count
     return table
@@ -478,14 +479,16 @@ def syt_descent_counts(shape) -> dict:
     shape whose table has more (row, mask) keys than WALK_LIMIT
     (_tableau_walk) is refused with ValueError before any work, so every
     shape with n <= 16 is admitted and none with n >= 20.  Cold, on a
-    2-vCPU x86 VM with Python 3.11: 0.63 s and a 144 MiB peak for
-    (6, 4, 3, 2, 1, 1), the costliest of the admitted shapes with n >= 17."""
+    2-vCPU x86 VM with Python 3.11: 0.63 s and a 140 MiB peak for
+    (6, 4, 3, 2, 1, 1), the costliest of the admitted shapes with n >= 17.
+    The counts are memoized per shape; the sub-shape tables die with the
+    call, so of that peak only the 4.2 MiB of counts stays live."""
     shape = _check_partition(shape)
     check_walk(
         _tableau_walk(shape), f"the (row, mask) keys of a tableau table of size {sum(shape)}"
     )
     counts: dict[int, int] = {}
-    for (_, mask), count in _syt_table(shape).items():
+    for (_, mask), count in _syt_table(shape, {}).items():
         counts[mask] = counts.get(mask, 0) + count
     return counts
 

@@ -17,7 +17,8 @@ inverts their Moebius sum.  By Thrall, the hook polynomial of any class
 is a product of rectangle formulas (extension_certificate), checked on
 every class against characters.hook_mults_oracle, which reads it off the
 specialization p_d -> 1 - (-t)^d of Thrall's plethysm and shares only
-divisors, moebius and IntPolynomial with the closed formula.
+divisors, moebius (with the factorization behind both) and IntPolynomial
+with the closed formula.
 """
 
 from __future__ import annotations
@@ -205,7 +206,6 @@ def _alternating_sums(a) -> Tuple[int, ...]:
     return tuple(accumulate(a, lambda q, v: v - q))
 
 
-@lru_cache(maxsize=None)
 def hook_mults(r: int, s: int) -> Tuple[int, ...]:
     """Hook multiplicities m_0..m_(rs-1) of the class (r^s): partial
     alternating sums of the column-plus-row multiplicities.

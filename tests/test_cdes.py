@@ -180,7 +180,7 @@ def _no_work(*args):
 
 
 def test_walks_over_the_limit_are_refused_before_any_work(monkeypatch):
-    monkeypatch.setattr(characters, "h_pairings", _no_work)
+    monkeypatch.setattr(characters, "_h_pairings", _no_work)
     monkeypatch.setattr(cdes, "conjugacy_class", _no_work)
     # (1^19) has one element and (2, 1^17) has 171: only n refuses them
     for mu in ((19,), (1,) * 19, (2,) + (1,) * 17):
@@ -231,7 +231,7 @@ def test_distribution_matches_enumeration():
 def test_distribution_refuses_negative_fiber(monkeypatch):
     # #{Des inside {}} = 2 > #{Des inside {1}} = 1 makes the fiber of {1} -1
     doctored = {(3,): 2, (2, 1): 1, (1, 1, 1): 3}
-    monkeypatch.setattr(characters, "h_pairings", lambda mu: doctored)
+    monkeypatch.setattr(characters, "_h_pairings", lambda mu: doctored)
     with pytest.raises(ArithmeticError, match="negative"):
         descent_distribution((2, 1))
 
@@ -239,7 +239,7 @@ def test_distribution_refuses_negative_fiber(monkeypatch):
 def test_distribution_refuses_pairing_over_class_size(monkeypatch):
     # the packed inversion needs every #{Des inside S} within the class size
     doctored = {(3,): 0, (2, 1): 4, (1, 1, 1): 3}
-    monkeypatch.setattr(characters, "h_pairings", lambda mu: doctored)
+    monkeypatch.setattr(characters, "_h_pairings", lambda mu: doctored)
     with pytest.raises(ArithmeticError, match="exceeds the class size"):
         descent_distribution((2, 1))
 
@@ -269,7 +269,7 @@ def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
         size = class_size(mu)
         doctored = {lam: rng.randint(0, size) for lam in partition_list(n)}
         doctored[(1,) * n] = size
-        monkeypatch.setattr(characters, "h_pairings", lambda mu: doctored)
+        monkeypatch.setattr(characters, "_h_pairings", lambda mu: doctored)
         want = _moebius_by_loop(n, doctored)
         lowest = next((m for m, v in enumerate(want) if v < 0), None)
         if lowest is None:

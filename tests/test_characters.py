@@ -20,6 +20,7 @@ from brute_force import (
     standard_tableaux,
 )
 
+import hooklie
 from hooklie import characters
 from hooklie.characters import (
     _drop_count,
@@ -331,9 +332,9 @@ def test_count_message_reduces_the_fraction(monkeypatch):
 @pytest.fixture
 def fresh_memo():
     # the doctored runs below fill the hook memo with wrong factors
-    characters.clear_memo()
+    hooklie.clear_memos()
     yield
-    characters.clear_memo()
+    hooklie.clear_memos()
 
 
 def test_hook_oracle_refuses_inexact_division_by_i(fresh_memo, monkeypatch):
@@ -383,7 +384,7 @@ def test_adams_factors_are_built_once_per_part_count(fresh_memo):
                 direct = direct + step.substitute_power(m * d) * moebius(d)
             assert characters._adams_factor(i, m) * i == direct, (i, m)
     # k parts of one size need the k factors m = 1..k, not k(k+1)/2
-    characters.clear_memo()
+    hooklie.clear_memos()
     hook_mults_oracle((1,) * 30)
     assert characters._adams_factor.cache_info().currsize == 30
 
@@ -406,6 +407,6 @@ def test_plethysm_factors_are_shared_and_cannot_be_changed(fresh_memo):
     den, terms = characters._frobenius((3, 3))
     assert terms is factor and den == 18
     assert dict(terms) == frobenius_over_fractions((3, 3))[1]
-    characters.clear_memo()
+    hooklie.clear_memos()
     assert characters._h_plethysm.cache_info().currsize == 0
     assert characters._h_plethysm(2, 3) == factor

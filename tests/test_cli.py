@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import hooklie
 from hooklie import cdes, cli, lie
 from hooklie.characters import character_value
 from hooklie.cli import build_parser, main, parse_partition, UsageError
@@ -488,8 +489,7 @@ def test_verify_unimodality_builds_each_table_once(monkeypatch, capsys):
         return table(r, s_max)
 
     monkeypatch.setattr(lie, "_column_row_table", counted)
-    monkeypatch.setattr(lie, "_COLUMN_ROWS", {})
-    lie.hook_mults.cache_clear()
+    hooklie.clear_memos()
     code, _, _ = run(["verify", "unimodality", "--r-max", "10", "--s-max", "6"], capsys)
     assert code == 0
     assert builds == [(r, 6) for r in range(1, 11)]

@@ -6,8 +6,10 @@ Frozen constants were computed by independent brute-force enumeration
 re-derived here wherever that stays cheap.
 """
 
+import gc
 import math
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -17,6 +19,7 @@ from brute_force import (
     syt_descent_counts_by_enumeration,
 )
 
+import hooklie
 from hooklie import combinat
 from hooklie.combinat import (
     cellini_descent_set,
@@ -330,7 +333,7 @@ def test_syt_descent_counts_match_enumeration():
         syt_descent_counts((1, 2))
 
 
-def _no_table(shape):
+def _no_table(shape, tables):
     raise AssertionError("a tableau table was built for a refused shape")
 
 
@@ -347,11 +350,35 @@ def test_tableau_table_refuses_over_the_walk_limit(monkeypatch):
 
 def test_tableau_table_admits_every_shape_up_to_16(monkeypatch):
     # unwrapped, so the stub's empty tables stay out of the cache
-    monkeypatch.setattr(combinat, "_syt_table", lambda shape: {})
+    monkeypatch.setattr(combinat, "_syt_table", lambda shape, tables: {})
     for n in range(17):
         for lam in partition_list(n):
             assert syt_descent_counts.__wrapped__(lam) == {}, lam
     assert syt_descent_counts.__wrapped__((6, 4, 3, 2, 1, 1)) == {}
+
+
+def test_tableau_table_does_not_outlive_its_call():
+    # only the shape's own counts are memoized: the sub-shape tables belong
+    # to the call, so a cold call leaves one memo entry in the module, and
+    # what it leaves alive is a small part of what it built (about 0.6 of
+    # 16.4 MiB traced; all of it if the sub-shape tables were kept anywhere)
+    hooklie.clear_memos()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        syt_descent_counts((5, 4, 3, 2, 1))
+        gc.collect()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < peak / 4, (live, peak)
+    assert syt_descent_counts.cache_info().currsize == 1
+    held = {
+        name: value.cache_info().currsize
+        for name, value in vars(combinat).items()
+        if hasattr(value, "cache_info") and value.cache_info().currsize
+    }
+    assert held == {"syt_descent_counts": 1}
 
 
 # -- Kostka numbers ----------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 import pytest
 from brute_force import restricted_partitions
 
+import hooklie
 from hooklie import cdes, characters, cli, lie
 from hooklie.characters import hook_mults_oracle
 from hooklie.combinat import is_squarefree, moebius, partition_list
@@ -70,9 +71,9 @@ def test_witt_coeffs_match_transform_route():
 
 def test_witt_coeffs_do_not_depend_on_cache_order():
     # cold, the check of 840 fills in its divisors by recursion
-    witt_coeffs.cache_clear()
+    hooklie.clear_memos()
     cold = witt_coeffs(840)
-    witt_coeffs.cache_clear()
+    hooklie.clear_memos()
     for r in range(1, 841):
         warm = witt_coeffs(r)
     assert cold == warm
@@ -195,14 +196,14 @@ def test_series_matches_direct_multiplicities():
             assert coeffs + (0,) * (len(direct) - len(coeffs)) == direct, (r, s)
 
 
-def test_column_row_memo_is_order_independent(monkeypatch):
+def test_column_row_memo_is_order_independent():
     # one table per r, grown on demand: the order of requests must not
     # change a row
     pairs = [(r, s) for r in range(1, 13) for s in range(1, 7)]
     expected = {pair: _column_row_by_definition(*pair) for pair in pairs}
     shuffled = random.Random(0).sample(pairs, len(pairs))
     for order in (pairs, pairs[::-1], shuffled):
-        monkeypatch.setattr(lie, "_COLUMN_ROWS", {})
+        hooklie.clear_memos()
         assert {pair: column_row_mults(*pair) for pair in order} == expected
         for r in range(1, 13):
             assert all(type(row) is tuple for row in lie._COLUMN_ROWS[r])
@@ -217,7 +218,7 @@ def test_column_row_table_built_once_per_r(monkeypatch):
         return table(r, s_max)
 
     monkeypatch.setattr(lie, "_column_row_table", counted)
-    monkeypatch.setattr(lie, "_COLUMN_ROWS", {})
+    hooklie.clear_memos()
     for r in range(1, 13):
         column_row_series(r, 5)
         squarefree_criterion(r, 5)
@@ -316,14 +317,14 @@ def test_certificate_reports_the_first_violation():
 
 def test_hook_mults_reports_the_first_violation(monkeypatch):
     # e = (1, 0, 3, 5) gives m = (1, -1, 4) and a nonzero total: the
-    # negative m_1 is named; unwrapped, so no doctored entry is memoized
+    # negative m_1 is named
     at = r" at \(r,s\)=\(1,3\)$"
     monkeypatch.setattr(lie, "column_row_mults", lambda r, s: (1, 0, 3, 5))
     with pytest.raises(ArithmeticError, match=r"^negative hook multiplicity m_1" + at):
-        hook_mults.__wrapped__(1, 3)
+        hook_mults(1, 3)
     monkeypatch.setattr(lie, "column_row_mults", lambda r, s: (1, 2, 3, 5))
     with pytest.raises(ArithmeticError, match=r"^alternating sum of e is nonzero" + at):
-        hook_mults.__wrapped__(1, 3)
+        hook_mults(1, 3)
 
 
 def test_hook_theorem_by_three_routes():

@@ -39,6 +39,7 @@ PINNED = {
         "centralizer_order",
         "character_value",
         "class_size",
+        "clear_memos",
         "column_row_mults",
         "column_row_series",
         "construct_extension",
@@ -94,7 +95,6 @@ PINNED = {
         "schur_multiplicities",
         "hook_mults_oracle",
         "h_pairings",
-        "clear_memo",
     },
     "hooklie.lie": {
         "NoExtension",
