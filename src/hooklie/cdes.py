@@ -167,7 +167,7 @@ class CyclicExtensionSolution(NamedTuple):
     elements[i], and p[i] the index of the image of elements[i] under the
     rotation-equivariant bijection p.  axioms holds the results of the
     exhaustive check_axioms run that construct_extension made before
-    returning it (an empty read-only mapping for a solution built
+    returning it, read-only (an empty mapping for a solution built
     elsewhere)."""
 
     mu: Tuple[int, ...]
@@ -369,7 +369,7 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         raise AssertionError(f"constructed extension violates {failed} on {mu}")
-    return result._replace(axioms=checks)
+    return result._replace(axioms=MappingProxyType(checks))
 
 
 def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:

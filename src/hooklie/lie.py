@@ -29,7 +29,7 @@ from itertools import accumulate, combinations
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import characters
-from .combinat import check_class_type, divisors, is_squarefree, moebius
+from .combinat import check_class_type, check_walk, divisors, is_squarefree, moebius
 from .series import BiSeries, IntPolynomial
 
 __all__ = [
@@ -356,10 +356,16 @@ def quotient_series(r: int, s_max: int) -> Optional[SquareQuotient]:
 
 def subset_sum_count(n: int, k: int, include_n: bool = False) -> int:
     """Count of k-subsets of {1..n-1} (or {1..n} when include_n) whose
-    element sum is 1 modulo n."""
+    element sum is 1 modulo n.  More k-subsets than WALK_LIMIT are refused
+    with ValueError before any work."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     top = n + 1 if include_n else n
+    # C(m, k) >= 2^j for j = min(k, m - k), so j >= 20 is over the limit
+    # without building a huge binomial
+    m = top - 1
+    items = math.comb(m, k) if min(k, m - k) < 20 else 1 << 20
+    check_walk(items, f"the {k}-subsets of [{m}]")
     return sum(
         1 for c in combinations(range(1, top), k) if sum(c) % n == 1 % n
     )

@@ -42,8 +42,9 @@ assembles the Witt transform from them alone.
 
 standard_tableaux builds every standard Young tableau of a straight shape
 as its rows, one entry at a time, and syt_descent_counts_by_enumeration
-counts them by descent set; they are the reference for the corner-removal
-table of hooklie.combinat.syt_descent_counts, which builds no tableau.
+counts them by descent set; they are the reference for the sub-shape
+tables of hooklie.combinat.syt_descent_counts, built one entry at a time
+without building a tableau.
 
 restricted_partitions lists the partitions of i inside an r x s box, padded
 with zeros to length s; tests/test_lie.py sums over them to compute the

@@ -49,6 +49,8 @@ def test_moebius_small_values():
     assert [moebius(n) for n in range(1, 13)] == [
         1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0,
     ]
+    with pytest.raises(ValueError, match="positive integer"):
+        moebius(0)
 
 
 def test_moebius_dirichlet_identity():
@@ -83,6 +85,8 @@ def test_partition_list_starts_with_single_row():
     for n in range(1, 9):
         assert partition_list(n)[0] == (n,)
         assert partition_list(n)[-1] == (1,) * n
+    with pytest.raises(ValueError):
+        partition_list(-1)
 
 
 def test_is_partition():
@@ -138,6 +142,12 @@ def test_cycle_type_examples():
     assert cycle_type((2, 3, 1)) == (3,)
     assert cycle_type((2, 1, 4, 3)) == (2, 2)
     assert cycle_type((3, 1, 2, 5, 4)) == (3, 2)
+    assert cycle_type(()) == ()
+    # a repeated value, the value 0 (index -1 would wrap around) and a
+    # value past n are not permutations of 1..n
+    for pi in ((2, 2), (0,), (3, 1)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycle_type(pi)
 
 
 def test_conjugacy_class_sizes_partition_the_group():
@@ -257,11 +267,15 @@ def test_mask_round_trip():
         n = rng.randrange(1, 12)
         elems = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n + 1))))
         assert subset_elements(mask_from_elements(elems)) == elems
+    with pytest.raises(ValueError, match=">= 1"):
+        mask_from_elements([0])
 
 
 def test_rotate_subset_rejects_out_of_range():
     with pytest.raises(ValueError):
         rotate_subset(1 << 5, 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rotate_subset(1, 0)
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -333,13 +347,13 @@ def test_syt_descent_counts_match_enumeration():
         syt_descent_counts((1, 2))
 
 
-def _no_table(shape, tables):
+def _no_table(shape):
     raise AssertionError("a tableau table was built for a refused shape")
 
 
 def test_tableau_table_refuses_over_the_walk_limit(monkeypatch):
     # (7, 4, 3, 2, 1, 1) has 6 * 2^17 possible (row, mask) keys and more
-    # tableaux; n >= 20 is refused outright, (1200) before its deep recursion
+    # tableaux; n >= 20 is refused outright, (1200) before any of its levels
     monkeypatch.setattr(combinat, "_syt_table", _no_table)
     for shape in ((6, 5, 4, 3, 2), (7, 4, 3, 2, 1, 1), (1200,)):
         with pytest.raises(ValueError, match="walk limit"):
@@ -350,7 +364,7 @@ def test_tableau_table_refuses_over_the_walk_limit(monkeypatch):
 
 def test_tableau_table_admits_every_shape_up_to_16(monkeypatch):
     # unwrapped, so the stub's empty tables stay out of the cache
-    monkeypatch.setattr(combinat, "_syt_table", lambda shape, tables: {})
+    monkeypatch.setattr(combinat, "_syt_table", lambda shape: {})
     for n in range(17):
         for lam in partition_list(n):
             assert syt_descent_counts.__wrapped__(lam) == {}, lam
@@ -361,7 +375,7 @@ def test_tableau_table_does_not_outlive_its_call():
     # only the shape's own counts are memoized: the sub-shape tables belong
     # to the call, so a cold call leaves one memo entry in the module, and
     # what it leaves alive is a small part of what it built (about 0.6 of
-    # 16.4 MiB traced; all of it if the sub-shape tables were kept anywhere)
+    # 6.2 MiB traced; all of it if the sub-shape tables were kept anywhere)
     hooklie.clear_memos()
     gc.collect()
     tracemalloc.start()
@@ -484,3 +498,5 @@ def test_kostka_invariant_under_content_permutation():
 def test_kostka_rejects_size_mismatch():
     with pytest.raises(ValueError):
         kostka_number((2, 1), (1, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        kostka_number((2, 1), (4, -1))

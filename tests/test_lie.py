@@ -113,6 +113,9 @@ def test_witt_coeffs_cross_check_runs_at_large_r(monkeypatch):
 def test_column_row_mults_hand_example():
     # r = 4, s = 2: two parts from {1..4} weighted by parity binomials
     assert column_row_mults(4, 2) == (0, 0, 0, 2, 4, 2, 0, 0, 0)
+    for r, s in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            column_row_mults(r, s)
 
 
 def test_hook_mults_hand_examples():
@@ -239,6 +242,8 @@ def test_column_row_table_built_once_per_r(monkeypatch):
 def test_series_constant_term_is_one():
     for r in (1, 2, 5, 9):
         assert column_row_series(r, 3).coeff(0) == IntPolynomial((1,))
+    with pytest.raises(ValueError):
+        column_row_series(2, -1)
 
 
 def test_series_r2_closed_form():
@@ -407,6 +412,8 @@ def test_quotient_series_r4():
     # [y^s] of the quotient series is s * x^(2s-1)
     for s in range(1, 5):
         assert q.series.coeff(s) == xpow(2 * s - 1, s)
+    with pytest.raises(ValueError):
+        quotient_series(4, 0)
 
 
 def test_quotient_series_r8_nonnegative():
@@ -491,6 +498,13 @@ def test_subset_sum_edge_cases():
     assert subset_sum_count(2, 0, include_n=False) == 0
     # k = n - 1 inside [n-1] picks all of it
     assert subset_sum_count(3, 2, include_n=False) == (1 if (1 + 2) % 3 == 1 else 0)
+    for n, k in ((0, 1), (3, -1)):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            subset_sum_count(n, k)
+    # C(59, 1) subsets are walked; C(59, 30) are refused before any
+    assert subset_sum_count(60, 1) == 1
+    with pytest.raises(ValueError, match="walk limit"):
+        subset_sum_count(60, 30)
 
 
 # -- unimodality -------------------------------------------------------------

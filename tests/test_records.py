@@ -31,6 +31,9 @@ def test_records_refuse_attribute_assignment(record):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         record.extra = None
+    if hasattr(record, "axioms"):  # constructed or not, the axioms are read-only
+        with pytest.raises(TypeError):
+            record.axioms["extension"] = False
 
 
 def test_records_are_named_tuples_except_no_extension():

@@ -25,6 +25,11 @@ def test_polynomial_normalization():
     assert IntPolynomial(()).coeffs == ()
     assert IntPolynomial((0,)).degree == -1
     assert IntPolynomial((0, 0, 5)).degree == 2
+    # immutable and hashed by its normalized coefficients
+    assert hash(IntPolynomial((1, 2, 0))) == hash(IntPolynomial((1, 2)))
+    assert len({IntPolynomial((1, 2, 0)), IntPolynomial((1, 2)), ONE}) == 2
+    with pytest.raises(AttributeError, match="immutable"):
+        ONE.coeffs = (2,)
 
 
 def test_polynomial_arithmetic():
@@ -47,6 +52,8 @@ def test_substitute_power():
     assert p.substitute_power(3).coeffs == (1, 0, 0, 1)
     q = IntPolynomial((1, 2, 3))
     assert q.substitute_power(2).coeffs == (1, 0, 2, 0, 3)
+    with pytest.raises(ValueError):
+        q.substitute_power(0)
 
 
 def _random_poly(rng, max_len, bits):
