@@ -274,20 +274,31 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # pruned when that cycle length is no longer needed, when the joined
     # path would be longer than every cycle still needed, or when the join
     # would leave fewer lone elements than fixed points still needed (only
-    # a lone element can become one).  At i = n - 1 two paths are left, one
-    # ending at n - 1 and one at n, so both completions are read off at
-    # once instead of searched two levels deep.  The free values sit on a
-    # doubly linked list, nxt and prv, with 0 before the first and n + 1
-    # after the last: a value is unlinked when placed and relinked when
-    # undone, always in reverse order, so the scan steps over free values
-    # only.
+    # a lone element can become one).  At i = n - 2 three paths are left,
+    # ending at n - 2, n - 1 and n with heads h, b and c, the three free
+    # values, so the at most six completions are read off at once from the
+    # number rem of cycles still to close instead of searched three levels
+    # deep: one cycle is both 3-cycles of the paths, (b, c, h) and
+    # (c, h, b), always of the one length needed; two cycles are the
+    # transpositions (h, c, b), (b, h, c) and (c, b, h), each when its two
+    # lengths are needed; three cycles is (h, b, c) alone, when all three
+    # lengths are needed; four or more close none (the pruning lets paths
+    # of lengths 3, 3, 3 through with cycles 3, 2, 2, 2 still needed).  The
+    # free values sit on a doubly linked list, nxt and prv, with 0 before
+    # the first and n + 1 after the last: a value is unlinked when placed
+    # and relinked when undone, always in reverse order, so the scan steps
+    # over free values only.
     n = sum(mu)
     if n == 1:
         yield (1,)
         return
+    if n == 2:
+        yield (2, 1) if mu == (2,) else (1, 2)
+        return
     need = [0] * (n + 1)  # need[k]: cycles of length k still to close
     for part in mu:
         need[part] += 1
+    rem = len(mu)  # cycles still to close
     longest = mu[0]  # largest k with need[k] > 0
     head = list(range(n + 1))  # head[t]: first element of the path ending at t
     tail = list(range(n + 1))  # tail[h]: last element of the path starting at h
@@ -300,24 +311,45 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     while True:
         h = head[i]
         ln = size[h]
-        if i == n - 1:
-            # the free values are the heads h and g of the two paths:
-            # (h, g) closes both cycles, (g, h) joins them into one, and the
-            # one with the smaller pi(n - 1) comes first
-            g = head[n]
-            lg = size[g]
-            joined = need[ln + lg]
-            if joined and g < h:
-                pi[-2] = g
-                pi[-1] = h
-                yield tuple(pi)
-            if need[ln] and need[lg] > (ln == lg):
-                pi[-2] = h
-                pi[-1] = g
-                yield tuple(pi)
-            if joined and h < g:
-                pi[-2] = g
-                pi[-1] = h
+        if i == n - 2:
+            b = head[n - 1]
+            c = head[n]
+            lb = size[b]
+            lc = size[c]
+            if rem == 1:
+                if b < c:
+                    pi[-3:] = b, c, h
+                    yield tuple(pi)
+                    pi[-3:] = c, h, b
+                    yield tuple(pi)
+                else:
+                    pi[-3:] = c, h, b
+                    yield tuple(pi)
+                    pi[-3:] = b, c, h
+                    yield tuple(pi)
+            elif rem == 2:
+                # each transposition's first entry is a different free value
+                found = []
+                x = lb + lc
+                if need[ln] and need[x] > (ln == x):
+                    found.append((h, c, b))
+                x = ln + lb
+                if need[x] and need[lc] > (x == lc):
+                    found.append((b, h, c))
+                x = ln + lc
+                if need[x] and need[lb] > (x == lb):
+                    found.append((c, b, h))
+                found.sort()
+                for last in found:
+                    pi[-3:] = last
+                    yield tuple(pi)
+            elif (
+                rem == 3
+                and need[ln]
+                and need[lb] > (lb == ln)
+                and need[lc] > (lc == ln) + (lc == lb)
+            ):
+                pi[-3:] = h, b, c
                 yield tuple(pi)
             v = n + 1
         else:
@@ -336,6 +368,7 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             prv[b] = a
             if v == h:
                 need[ln] -= 1
+                rem -= 1
                 lone -= ln == 1
                 while not need[longest]:
                     longest -= 1
@@ -358,6 +391,7 @@ def _class_elements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if v == h:
             ln = size[h]
             need[ln] += 1
+            rem += 1
             lone += ln == 1
             longest = max(longest, ln)
         else:

@@ -282,6 +282,15 @@ def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
     assert negatives > 100
 
 
+def test_distribution_refuses_a_class_size_mismatch(monkeypatch):
+    # one more than the true class size passes the pairing bound, but the
+    # fibers still sum to the true size
+    real = cdes.class_size
+    monkeypatch.setattr(cdes, "class_size", lambda mu: real(mu) + 1)
+    with pytest.raises(ArithmeticError, match=re.escape("class size mismatch for (2, 1)")):
+        descent_distribution((2, 1))
+
+
 # -- solver ------------------------------------------------------------------
 
 
@@ -540,6 +549,15 @@ def test_construct_axioms_all_feasible_classes():
             checks = check_axioms(sol)
             assert all(checks.values()), (mu, checks)
             assert sol.axioms == checks
+
+
+def test_construct_refuses_a_failed_axiom(monkeypatch):
+    # a constructed extension is checked before it is returned
+    real = cdes.check_axioms
+    monkeypatch.setattr(cdes, "check_axioms", lambda sol: {**real(sol), "equivariance": False})
+    message = "constructed extension violates ['equivariance'] on (2, 1)"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        construct_extension((2, 1))
 
 
 def test_construct_extension_restricts_to_descents():

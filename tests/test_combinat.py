@@ -171,6 +171,17 @@ def test_four_cycles_of_s4():
     )
 
 
+def test_classes_of_s2_and_s3():
+    # n = 2 is a base case of the walk; n = 3 is read off the last three
+    # paths at once, one cycle left (the 3-cycles), two (the
+    # transpositions) or three (the identity)
+    assert tuple(conjugacy_class((2,))) == ((2, 1),)
+    assert tuple(conjugacy_class((1, 1))) == ((1, 2),)
+    assert tuple(conjugacy_class((3,))) == ((2, 3, 1), (3, 1, 2))
+    assert tuple(conjugacy_class((2, 1))) == ((1, 3, 2), (2, 1, 3), (3, 2, 1))
+    assert tuple(conjugacy_class((1, 1, 1))) == ((1, 2, 3),)
+
+
 def test_conjugacy_class_agrees_with_cycle_type_filter():
     # the exact sequence, order included, of filtering S_n by cycle type;
     # S_n is grouped by cycle type once, in lexicographic order
@@ -184,12 +195,14 @@ def test_conjugacy_class_agrees_with_cycle_type_filter():
 
 def test_conjugacy_class_is_the_class_up_to_n_10():
     # every class with n <= 8, and every class with n = 9 or 10 of at most
-    # 5,000 elements (the ones with many fixed points, where the walk prunes
-    # most; all of S_10 is 10! elements): exactly class_size elements, each
-    # of the right cycle type, strictly increasing, so distinct
+    # 20,000 elements (36 classes, 219,052 elements: mostly many fixed
+    # points, where the walk prunes most, but also (5, 4), whose last three
+    # paths close as one or two cycles; all of S_10 is 10! elements):
+    # exactly class_size elements, each of the right cycle type, strictly
+    # increasing, so distinct
     for n in range(1, 11):
         for mu in partition_list(n):
-            if n > 8 and class_size(mu) > 5000:
+            if n > 8 and class_size(mu) > 20000:
                 continue
             members = list(conjugacy_class(mu))
             assert len(members) == class_size(mu), mu

@@ -9,6 +9,7 @@ by that oracle and spot-checked by hand.
 import json
 import math
 import random
+import re
 
 import pytest
 from brute_force import restricted_partitions
@@ -105,6 +106,27 @@ def test_witt_coeffs_cross_check_runs_at_large_r(monkeypatch):
             real.cache_clear()
             with pytest.raises(ArithmeticError, match="routes disagree"):
                 real(r)
+
+
+@pytest.mark.parametrize(
+    "doctored, message",
+    [
+        # the d = 1 term alone: f_0 = 1/2
+        (lambda real, d: int(d == 1), "Witt coefficient f_0 not integral at r=2"),
+        # every term doubled: f = (0, 2, 2)
+        (lambda real, d: 2 * real(d), "f_1 = 2 != 1 at r=2"),
+        # moebius(2) = +1: f = (1, 1, 0)
+        (lambda real, d: 1, "f_0 = 1 wrong at r=2"),
+    ],
+)
+def test_witt_coeffs_refuse_a_wrong_closed_sum(doctored, message, monkeypatch):
+    # each guard fires before the divisor-sum check reads the memo, so no
+    # wrong entry is left in it
+    real = lie.moebius
+    monkeypatch.setattr(lie, "moebius", lambda d: doctored(real, d))
+    lie.witt_coeffs.cache_clear()
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        lie.witt_coeffs(2)
 
 
 # -- column-row and hook multiplicities --------------------------------------
@@ -422,6 +444,31 @@ def test_quotient_series_r8_nonnegative():
     assert q.poly.coeffs == (0, 1, 2, 2, 2, 1)
     for s in range(5):
         assert all(c >= 0 for c in q.series.coeff(s).coeffs)
+
+
+def test_squarefree_criterion_refuses_a_wrong_moment(monkeypatch):
+    # f = (0, 1, 2) gives 1 - 2 * 2 = -3, not moebius(2) = -1
+    monkeypatch.setattr(lie, "witt_coeffs", lambda r: (0, 1, 2))
+    with pytest.raises(ArithmeticError, match=re.escape("moment identity fails at r=2: -3")):
+        lie.squarefree_criterion(2, 1)
+
+
+@pytest.mark.parametrize(
+    "row, witt, message",
+    [
+        ((1, 1), (0, 1, 2, 1, 0), "(1+x)^2 does not divide [y^1] at r=4"),
+        ((-1, -2, -1), (0, 1, 2, 1, 0), "negative quotient coefficient at r=4, s=1"),
+        ((1, 2, 1), (0, 1), "(1+x)^2 does not divide the Witt polynomial at r=4"),
+        ((1, 2, 1), (-1, -2, -1), "negative Witt quotient coefficient at r=4"),
+    ],
+)
+def test_quotient_series_refuses_a_wrong_quotient(row, witt, message, monkeypatch):
+    # row y^1 and the Witt polynomial of r = 4 doctored: not divisible by
+    # (1+x)^2, or -(1+x)^2, whose quotient is -1
+    monkeypatch.setattr(lie, "_column_rows", lambda r, s: ((1,), row))
+    monkeypatch.setattr(lie, "witt_coeffs", lambda r: witt)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        lie.quotient_series(4, 1)
 
 
 def test_quotient_series_squarefree_is_none():

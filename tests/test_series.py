@@ -6,6 +6,7 @@ import random
 import pytest
 
 from brute_force import power_by_squaring, schoolbook_mul, witt_transform_by_schoolbook
+from hooklie import series
 from hooklie.series import (
     BiSeries,
     IntPolynomial,
@@ -195,6 +196,14 @@ def test_witt_transform_always_integral():
         r = rng.randrange(1, 9)
         w = witt_transform(p, r)
         assert all(isinstance(c, int) for c in w.coeffs)
+
+
+def test_witt_transform_refuses_a_non_integral_sum(monkeypatch):
+    # so the guard is reached only through a doctored moebius: the d = 1
+    # term alone leaves (1 + x)^2 / 2
+    monkeypatch.setattr(series, "moebius", lambda d: int(d == 1))
+    with pytest.raises(ArithmeticError, match="Witt transform not integral at r=2"):
+        witt_transform(IntPolynomial((1, 1)), 2)
 
 
 def test_witt_transform_matches_schoolbook_oracle():
