@@ -8,7 +8,9 @@ subsets of [n-1] on the table packed into one integer.  No class element
 is walked, so the cost follows 2^(n-1) and not the class size.
 Enumerating the class is the test oracle (tests/brute_force.py); only
 construct_extension and cellini_closed, which need the elements
-themselves, still walk the class.
+themselves, still walk the class, and cellini_closed only when the class
+has exactly one fixed point: for n >= 2 no other class is rotation
+closed, by a count its docstring proves.
 
 Every route here first passes combinat.check_walk the number of items it
 would walk, from combinat's subset_walk, class_walk or ribbon_walk, and is
@@ -395,10 +397,29 @@ def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
 def cellini_closed(mu) -> bool:
     """Whether the multiset of Cellini cyclic descent sets of the class
     is invariant under rotation.  A class with more than WALK_LIMIT
-    elements is refused with ValueError up front."""
+    elements is refused with ValueError up front.
+
+    For n >= 2 only a class with exactly one fixed point is walked; no
+    other class is closed.  With N the class size and f its number of
+    fixed points,
+
+        #{pi : pi_n > pi_1} - #{pi : pi_1 > pi_2} = N (f - 1) / (n - 1).
+
+    Conjugating by (1 n) swaps pi(1) and pi(n) when neither is in {1, n},
+    so it pairs those elements and flips pi_n > pi_1 within each pair; the
+    rest have pi(1) in {1, n} or pi(n) in {1, n}, and are counted from f
+    and the number of 2-cycles, since conjugation makes every point fixed
+    with the same frequency and every pair a 2-cycle with the same
+    frequency.  Conjugating by (1 2) does the same for pi_1 > pi_2 and
+    {1, 2}.  The two counts are those of the sets holding n and holding
+    1, and a set holds n iff its rotation holds 1, so rotation closure
+    makes them equal, which forces f = 1.
+    """
     mu = check_class_type(mu)
     n = sum(mu)
     check_walk(class_walk(mu), f"the elements of a class of S_{n}")
+    if n >= 2 and mu.count(1) != 1:
+        return False
     counts = Counter(cellini_descent_set(pi) for pi in conjugacy_class(mu))
     rotated = Counter()
     for mask, k in counts.items():

@@ -454,8 +454,9 @@ def suite_cellini(payload: dict, n_max: int) -> Iterator[tuple]:
     """Scan 2 <= n <= n_max for classes whose Cellini cyclic descent
     multiset is rotation closed (n = 1 is degenerate: rotation is the
     identity map on subsets of [1])."""
-    # cellini_closed walks the class; (n-1, 1) is a largest class of S_n,
-    # n >= 2, as no centralizer order is below its own
+    # cellini_closed walks only the classes with one fixed point, but
+    # (n-1, 1) is one of them and a largest class of S_n, n >= 2, as no
+    # centralizer order is below its own, so the bound is unchanged
     if n_max > 1:
         check_walk(
             class_walk((n_max - 1, 1)), f"the elements of a class of S_{n_max}"

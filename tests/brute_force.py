@@ -26,6 +26,14 @@ descent_distribution_by_enumeration walks the conjugacy class and counts
 each descent set; it is the reference for the Gessel-Reutenauer route of
 hooklie.cdes.descent_distribution, and costs the class size.
 
+class_by_filtering lists the class of mu as the permutations of
+itertools.permutations with cycle type mu, one filtering of S_n per n,
+memoized; cellini_closed_by_enumeration reads the cyclic descent sets of
+that list and compares their multiset with its rotation.  Neither reads
+hooklie.combinat.conjugacy_class or the Cellini descent set of
+hooklie.combinat, so they are the reference for hooklie.cdes.cellini_closed
+and its fixed-point shortcut; each costs n! on the first call for an n.
+
 solve_extension_by_propagation solves for the cDes fibers by propagating
 c_() = 0 through the pairing and rotation constraints with a dict and a
 stack, one subset at a time; it is the reference for the descending slice
@@ -54,6 +62,7 @@ column-row multiplicities by their definition.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -286,6 +295,33 @@ def descent_distribution_by_enumeration(mu) -> DescentDistribution:
     for pi in conjugacy_class(mu):
         table[descent_set(pi)] += 1
     return DescentDistribution(n, tuple(table))
+
+
+@lru_cache(maxsize=None)
+def _classes_by_filtering(n: int) -> Mapping[tuple, Tuple[tuple, ...]]:
+    classes: Dict[tuple, list] = {}
+    for pi in permutations(range(1, n + 1)):
+        classes.setdefault(cycle_type(pi), []).append(pi)
+    return MappingProxyType({mu: tuple(pis) for mu, pis in classes.items()})
+
+
+def class_by_filtering(mu) -> Tuple[Tuple[int, ...], ...]:
+    """The class of mu: the permutations of 1..n with cycle type mu, in the
+    order of itertools.permutations (lexicographic)."""
+    mu = tuple(mu)
+    return _classes_by_filtering(sum(mu))[mu]
+
+
+def cellini_closed_by_enumeration(mu) -> bool:
+    """Whether the multiset of cyclic descent sets {i : pi_i > pi_(i+1)},
+    indices mod n, over the class of mu is invariant under i -> i+1 mod n."""
+    n = sum(mu)
+    counts = Counter(
+        frozenset(i + 1 for i in range(n) if pi[i] > pi[(i + 1) % n])
+        for pi in class_by_filtering(mu)
+    )
+    rotated = Counter({frozenset(i % n + 1 for i in s): k for s, k in counts.items()})
+    return counts == rotated
 
 
 def solve_extension_by_propagation(dist: DescentDistribution):

@@ -266,7 +266,7 @@ def test_criterion_11_subset_sum_identities():
 def test_criterion_12_cellini_closure_scan():
     closed = [
         mu
-        for n in range(2, 7)
+        for n in range(2, 10)
         for mu in partition_list(n)
         if cdes.cellini_closed(mu)
     ]
@@ -274,7 +274,7 @@ def test_criterion_12_cellini_closure_scan():
     report(
         12,
         "exactly the 2-cycle class of S_3 and the 3-cycle class of S_4 have "
-        "rotation-closed Cellini descent multisets, 2 <= n <= 6",
+        "rotation-closed Cellini descent multisets, 2 <= n <= 9",
         ok,
         f"found {closed}" if not ok else "",
     )

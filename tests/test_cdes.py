@@ -15,6 +15,8 @@ from collections import Counter
 
 import pytest
 from brute_force import (
+    cellini_closed_by_enumeration,
+    class_by_filtering,
     dense_table,
     descent_distribution_by_enumeration,
     extension_records,
@@ -701,17 +703,47 @@ def test_cellini_not_closed_examples():
 def test_cellini_scan_finds_exactly_two():
     closed = [
         mu
-        for n in range(2, 7)
+        for n in range(2, 10)
         for mu in partition_list(n)
         if cellini_closed(mu)
     ]
     assert closed == [(2, 1), (3, 1)]
 
 
+def test_cellini_closed_matches_enumeration():
+    for n in range(1, 9):
+        for mu in partition_list(n):
+            assert cellini_closed(mu) == cellini_closed_by_enumeration(mu), mu
+
+
+def test_cellini_fixed_point_identity():
+    # #{pi_n > pi_1} - #{pi_1 > pi_2} = N (f - 1) / (n - 1) on every class:
+    # the two counts are those of the Cellini sets holding n and holding 1
+    for n in range(2, 9):
+        for mu in partition_list(n):
+            elements = class_by_filtering(mu)
+            last = sum(pi[-1] > pi[0] for pi in elements)
+            first = sum(pi[0] > pi[1] for pi in elements)
+            assert (last - first) * (n - 1) == len(elements) * (mu.count(1) - 1), mu
+
+
+def test_cellini_walks_only_classes_with_one_fixed_point(monkeypatch):
+    monkeypatch.setattr(cdes, "conjugacy_class", _no_work)
+    for mu in [(2,), (2, 2), (4,), (2, 1, 1), (1, 1), (5, 1, 1)]:
+        assert not cellini_closed(mu), mu
+    for mu in [(1,), (3, 1), (2, 2, 1)]:
+        with pytest.raises(AssertionError, match="work started"):
+            cellini_closed(mu)
+    # the refusal still comes first: (5000) has no fixed point but is refused
+    with pytest.raises(ValueError, match="walk limit"):
+        cellini_closed((5000,))
+
+
 def test_cellini_single_letter_class_degenerate():
     # rotation on subsets of a singleton is the identity map, so the
     # multiset is trivially invariant; kept faithful rather than special-
-    # cased, which is why scans start at n = 2
+    # cased, which is why scans start at n = 2.  The fixed-point shortcut
+    # is for n >= 2, so (1,) is still walked
     assert cellini_closed((1,))
 
 
