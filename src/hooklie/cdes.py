@@ -4,8 +4,8 @@ The Des fibers of a class come from Gessel and Reutenauer's identity
 #{pi in the class of mu : Des(pi) inside S} = <ch psi^mu, h_alpha(S)>,
 with alpha(S) the composition of n with partial sums S: one pairing per
 partition of n (characters.h_pairings), then Moebius inversion over the
-subsets of [n-1] on the table packed into one integer.  No class element
-is walked, so the cost follows 2^(n-1) and not the class size.
+subsets of [n-1] on the table packed into integers of 32 KiB.  No class
+element is walked, so the cost follows 2^(n-1) and not the class size.
 Enumerating the class is the test oracle (tests/brute_force.py); only
 construct_extension and cellini_closed, which need the elements
 themselves, still walk the class, and cellini_closed only when the class
@@ -185,14 +185,50 @@ class CyclicExtensionSolution(NamedTuple):
 def _composition_shapes(n: int) -> Tuple[int, ...]:
     """For every subset S of [n-1], by mask, the index in partition_list(n)
     of the parts of alpha(S), sorted: the composition of n whose partial
-    sums are the elements of S."""
-    index = {lam: k for k, lam in enumerate(partition_list(n))}
-    shapes = []
-    for mask in range(1 << (n - 1)):
-        cuts = (0,) + subset_elements(mask) + (n,)
-        parts = sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True)
-        shapes.append(index[tuple(parts)])
+    sums are the elements of S.
+
+    Built from the table of n - 1.  A mask without n - 1 is a mask of
+    [n-2] whose last part, n - 1 - max S, grows by one; that part is the
+    same on each block of masks with the same highest element, so each
+    block maps its shapes through one small dict.  A mask with n - 1
+    appends a part 1 to the shape of the mask without it."""
+    if n == 1:
+        return (0,)
+    below = _composition_shapes(n - 1)
+    heads = partition_list(n - 1)
+    index = {lam: j for j, lam in enumerate(partition_list(n))}
+    shapes: List[int] = []
+    for e in range(n - 1):  # the block whose highest element is e, 0 for S = {}
+        block = below[(1 << e) >> 1 : 1 << e]
+        last = n - 1 - e
+        grown = {}
+        for j in set(block):
+            lam = heads[j]
+            i = lam.index(last)  # the first part last; last + 1 keeps the order
+            grown[j] = index[lam[:i] + (last + 1,) + lam[i + 1 :]]
+        shapes += map(grown.__getitem__, block)
+    shapes += map([index[lam + (1,)] for lam in heads].__getitem__, below)
     return tuple(shapes)
+
+
+# 64-bit digits per integer of the Moebius inversion: a chunk of 2^12
+# digits is 32 KiB, so each step of the inversion allocates 32 KiB
+# temporaries, not ones the size of the table (1 MiB at n = 18)
+_CHUNK = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _chunk_masks(digits: int) -> Tuple[Tuple[int, int], ...]:
+    """For a chunk of that many 64-bit digits, a power of 2, one pair per
+    bit b with 2^b < digits: (the bits in 2^b digits, the mask of the
+    digits whose index lacks bit b)."""
+    masks = []
+    b = 0
+    while 1 << b < digits:
+        pattern = b"\xff" * (8 << b) + bytes(8 << b)
+        masks.append((64 << b, int.from_bytes(pattern * (digits >> (b + 1)), "little")))
+        b += 1
+    return tuple(masks)
 
 
 def descent_distribution(mu) -> DescentDistribution:
@@ -202,13 +238,22 @@ def descent_distribution(mu) -> DescentDistribution:
     inversion over the subsets of [n-1], one element at a time, gives
     #{pi : Des(pi) = S} in O(n 2^(n-1)).
 
-    The inversion runs on the table packed as the 64-bit digits of one
-    integer, entry S at digit S: the step for bit b subtracts, in one
-    big-integer operation, every digit whose mask lacks bit b from the
-    digit 2^b above it.  Each intermediate value counts the elements whose
-    descents meet the processed elements in a given set and lie inside S
-    elsewhere, so it is >= 0 and at most the class size, and no digit
-    borrows.  Every pairing is checked to be at most the class size first.
+    The inversion runs on the table packed as 64-bit digits, entry S at
+    digit S, in chunks of _CHUNK digits, each one integer.  Within a chunk,
+    the step for bit b subtracts, in one big-integer operation, every digit
+    whose mask lacks bit b from the digit 2^b above it; the bits from
+    log2(_CHUNK) up subtract whole chunks from whole chunks.  Each
+    intermediate value counts the elements whose descents meet the
+    processed elements in a given set and lie inside S elsewhere, so it is
+    >= 0 and at most the class size, and no digit borrows.  Every pairing
+    is checked to be at most the class size first.
+
+    Each chunk is exact modulo 2^(64 _CHUNK), as every step is a
+    subtraction, a mask or a shift, so a doctored table that makes a fiber
+    negative borrows only upward and only within its chunk: the chunks
+    below are exact, and so are the digits of its chunk below it.  The
+    lowest negative fiber therefore reads back exactly, as a signed digit,
+    when it is at least -2^63, and is reported.
 
     The unpacked tuple is the distribution's table as it stands.  Nothing
     is enumerated, so the class size does not bound the cost; the table has
@@ -227,23 +272,23 @@ def descent_distribution(mu) -> DescentDistribution:
         raise ArithmeticError(f"a pairing of {mu} exceeds the class size {size}")
     top = 1 << (n - 1)
     digits = f"<{top}q"
-    # #{Des inside S} at digit S; n * size < 2^63 for n <= 18, so even the
-    # lowest negative value of a doctored table reads back exactly
-    packed = int.from_bytes(
-        struct.pack(digits, *map(values.__getitem__, _composition_shapes(n))), "little"
-    )
-    for b in range(n - 1):
-        width = 64 << b  # bits in 2^b digits
-        lacks_b = (1 << width) - 1  # the digits 0 .. 2^b - 1, then repeated
-        span = 2 * width
-        while span < 64 * top:
-            lacks_b |= lacks_b << span
-            span *= 2
-        packed -= (packed & lacks_b) << width
-    # a borrow runs upward only: the digits below the lowest negative fiber
-    # are exact, and so is that fiber, read back signed
-    packed &= (1 << (64 * top)) - 1
-    table = struct.unpack(digits, packed.to_bytes(8 * top, "little"))
+    step = 8 * min(top, _CHUNK)  # bytes per chunk
+    # #{Des inside S} at digit S
+    raw = memoryview(struct.pack(digits, *map(values.__getitem__, _composition_shapes(n))))
+    chunks = [int.from_bytes(raw[i : i + step], "little") for i in range(0, 8 * top, step)]
+    masks = _chunk_masks(step // 8)
+    for c, packed in enumerate(chunks):
+        for width, lacks_b in masks:
+            packed -= (packed & lacks_b) << width
+        chunks[c] = packed
+    bit = 1  # the bits from log2(_CHUNK) up, by chunk index
+    while bit < len(chunks):
+        for c in range(len(chunks)):
+            if c & bit:
+                chunks[c] -= chunks[c ^ bit]
+        bit *= 2
+    whole = (1 << (8 * step)) - 1
+    table = struct.unpack(digits, b"".join((x & whole).to_bytes(step, "little") for x in chunks))
     if min(table) < 0:
         mask = list(map(lt, table, repeat(0))).index(True)
         raise ArithmeticError(
@@ -396,12 +441,13 @@ def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
 
 def cellini_closed(mu) -> bool:
     """Whether the multiset of Cellini cyclic descent sets of the class
-    is invariant under rotation.  A class with more than WALK_LIMIT
-    elements is refused with ValueError up front.
+    is invariant under rotation.
 
     For n >= 2 only a class with exactly one fixed point is walked; no
-    other class is closed.  With N the class size and f its number of
-    fixed points,
+    other class is closed, so any other answers False at once, whatever
+    its size.  A class to walk with more than WALK_LIMIT elements is
+    refused with ValueError up front.  With N the class size and f its
+    number of fixed points,
 
         #{pi : pi_n > pi_1} - #{pi : pi_1 > pi_2} = N (f - 1) / (n - 1).
 
@@ -417,9 +463,9 @@ def cellini_closed(mu) -> bool:
     """
     mu = check_class_type(mu)
     n = sum(mu)
-    check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     if n >= 2 and mu.count(1) != 1:
         return False
+    check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     counts = Counter(cellini_descent_set(pi) for pi in conjugacy_class(mu))
     rotated = Counter()
     for mask, k in counts.items():

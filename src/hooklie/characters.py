@@ -23,8 +23,13 @@ an integer >= 0:
   schur_multiplicities  <psi^mu, chi^lam> = sum_nu [p_nu] ch psi^mu chi^lam(nu);
   h_pairings            <ch psi^mu, h_lam> = sum_nu [p_nu] ch psi^mu R(nu, lam),
                         the class elements counted by descent set
-                        (Gessel-Reutenauer), with the rows R(nu, .) built
-                        once per n on one memo table shared by every class.
+                        (Gessel-Reutenauer), with R(nu, lam) the
+                        coefficient of m_lam in p_nu.  The rows R(nu, .)
+                        are built once per n, shared by every class, by
+                        recurrence on n: p_nu = p_nu' p_k, with k the last
+                        part of nu, and m_lam' p_k adds k to one part of
+                        lam', so each row is one row of size n - k pushed
+                        through one list of products per (n, k).
 The hooks (hook_mults_oracle) read no power-sum coefficient.  The ring map
 phi: p_d -> 1 - (-t)^d sends s_lam to t^k (1 + t) on the hook (n-k, 1^k)
 and to 0 off the hooks, so phi(ch psi^mu) = (1 + t) sum_k m_k t^k, one
@@ -253,43 +258,46 @@ def hook_mults_oracle(mu) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _drop_count(parts: Tuple[int, ...], caps: Tuple[int, ...]) -> int:
-    """R(parts, caps): the ways to drop the parts (distinguishable, largest
-    first) into labelled blocks of remaining capacities caps (decreasing,
-    no zeros) so that every block ends exactly full.  Needs sum(parts) ==
-    sum(caps).  R(nu, lam) = <p_nu, h_lam>, the coefficient of m_lam in p_nu.
-
-    Memoized on (remaining parts, sorted remaining capacities), which does
-    not depend on the class, so every class of every n shares the table.
-    """
-    if not parts:
-        return 1
-    first = parts[0]
-    if first > caps[0]:
-        return 0
-    rest = parts[1:]
-    total = 0
-    i, ell = 0, len(caps)
-    while i < ell and caps[i] >= first:
-        cap = caps[i]
-        j = i + 1
-        while j < ell and caps[j] == cap:
-            j += 1
-        # the j - i blocks of capacity cap are labelled, so each is one way
-        others = caps[:i] + caps[i + 1 :]
-        left = cap - first
-        if left:
-            others = tuple(sorted(others + (left,), reverse=True))
-        total += (j - i) * _drop_count(rest, others)
-        i = j
-    return total
+def _power_products(n: int, k: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """m_lam' p_k = sum of mult m_lam, for every lam' |- n - k in
+    partition_list order: the pairs (index of lam in partition_list(n),
+    mult).  lam adds k to one part value v of lam' (v = 0: a new part k),
+    and mult is the number of parts of lam equal to v + k."""
+    index = {lam: j for j, lam in enumerate(partition_list(n))}
+    products = []
+    for head in partition_list(n - k):
+        terms = []
+        for v in {0, *head}:
+            parts = list(head)
+            if v:
+                parts.remove(v)
+            parts.append(v + k)
+            parts.sort(reverse=True)
+            terms.append((index[tuple(parts)], parts.count(v + k)))
+        products.append(tuple(terms))
+    return tuple(products)
 
 
 @lru_cache(maxsize=None)
 def _r_rows(n: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """For every nu |- n, the row of R(nu, lam) over lam in partition_list(n)."""
+    """For every nu |- n, the row of R(nu, lam) = <p_nu, h_lam>, the
+    coefficient of m_lam in p_nu, over lam in partition_list(n).  By
+    recurrence on n from p_() = m_(): p_nu = p_nu' p_k, with k the last
+    part of nu and nu' the rest, so the row of nu is the row of nu' pushed
+    through _power_products(n, k)."""
+    if n == 0:
+        return {(): (1,)}
     lams = partition_list(n)
-    return {nu: tuple(_drop_count(nu, lam) for lam in lams) for nu in lams}
+    rows = {}
+    for nu in lams:
+        k = nu[-1]
+        row = [0] * len(lams)
+        for r, terms in zip(_r_rows(n - k)[nu[:-1]], _power_products(n, k)):
+            if r:
+                for j, mult in terms:
+                    row[j] += r * mult
+        rows[nu] = tuple(row)
+    return rows
 
 
 def h_pairings(mu) -> Dict[Tuple[int, ...], int]:

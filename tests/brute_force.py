@@ -26,6 +26,15 @@ descent_distribution_by_enumeration walks the conjugacy class and counts
 each descent set; it is the reference for the Gessel-Reutenauer route of
 hooklie.cdes.descent_distribution, and costs the class size.
 
+composition_shapes_by_mask lists, for every subset S of [n-1], the index
+in partition_list(n) of the sorted parts of alpha(S), the composition of n
+with partial sums S, read off each mask's elements; it is the reference for
+hooklie.cdes._composition_shapes, built from the table of n - 1.
+des_fibers_by_list inverts #{Des inside S} into #{Des = S} on a plain
+list, one pair of subsets at a time, signed and unbounded; it is the
+reference for the chunked big-integer inversion of
+hooklie.cdes.descent_distribution.
+
 class_by_filtering lists the class of mu as the permutations of
 itertools.permutations with cycle type mu, one filtering of S_n per n,
 memoized; cellini_closed_by_enumeration reads the cyclic descent sets of
@@ -295,6 +304,31 @@ def descent_distribution_by_enumeration(mu) -> DescentDistribution:
     for pi in conjugacy_class(mu):
         table[descent_set(pi)] += 1
     return DescentDistribution(n, tuple(table))
+
+
+def composition_shapes_by_mask(n: int) -> Tuple[int, ...]:
+    """For every subset S of [n-1], by mask, the index in partition_list(n)
+    of the parts of alpha(S), sorted: one subset at a time."""
+    index = {lam: k for k, lam in enumerate(partition_list(n))}
+    shapes = []
+    for mask in range(1 << (n - 1)):
+        cuts = (0,) + subset_elements(mask) + (n,)
+        parts = sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True)
+        shapes.append(index[tuple(parts)])
+    return tuple(shapes)
+
+
+def des_fibers_by_list(n: int, pairings: Mapping[tuple, int]) -> list:
+    """#{Des = S} for every mask S of [n-1], from pairings[lam] = #{Des
+    inside S} at the sorted parts lam of alpha(S), by Moebius inversion on
+    a list, one pair of subsets at a time; a negative value stays as it is."""
+    lams = partition_list(n)
+    table = [pairings[lams[k]] for k in composition_shapes_by_mask(n)]
+    for b in range(n - 1):
+        for mask in range(1 << (n - 1)):
+            if mask >> b & 1:
+                table[mask] -= table[mask ^ (1 << b)]
+    return table
 
 
 @lru_cache(maxsize=None)

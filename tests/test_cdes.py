@@ -17,7 +17,9 @@ import pytest
 from brute_force import (
     cellini_closed_by_enumeration,
     class_by_filtering,
+    composition_shapes_by_mask,
     dense_table,
+    des_fibers_by_list,
     descent_distribution_by_enumeration,
     extension_records,
     h_pairings_by_necklaces,
@@ -139,10 +141,12 @@ def test_distribution_rejects_oversized_class():
     largest = max(class_size(mu) for mu in partition_list(10))
     assert combinat.WALK_LIMIT == largest == 403_200
     combinat.check_walk(combinat.subset_walk(18), "the subsets of [18]")
-    # the routes that walk the class refuse (11), with 10! elements
-    for call in (construct_extension, cellini_closed):
-        with pytest.raises(ValueError, match="walk limit"):
-            call((11,))
+    # the routes that walk the class refuse (11), with 10! elements, and
+    # (10, 1), which has one fixed point, with 11!/10
+    with pytest.raises(ValueError, match="walk limit"):
+        construct_extension((11,))
+    with pytest.raises(ValueError, match="walk limit"):
+        cellini_closed((10, 1))
     # descent fibers walk no class element, so (11) runs
     dist = descent_distribution((11,))
     assert sum(dist.fibers.values()) == math.factorial(10) == 3_628_800
@@ -246,20 +250,6 @@ def test_distribution_refuses_pairing_over_class_size(monkeypatch):
         descent_distribution((2, 1))
 
 
-def _moebius_by_loop(n: int, counts: dict) -> list:
-    """#{Des = S} from #{Des inside S} keyed by the sorted parts of alpha(S),
-    one subset pair at a time, signed."""
-    table = []
-    for mask in range(1 << (n - 1)):
-        cuts = (0,) + subset_elements(mask) + (n,)
-        table.append(counts[tuple(sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True))])
-    for b in range(n - 1):
-        for mask in range(1 << (n - 1)):
-            if mask >> b & 1:
-                table[mask] -= table[mask ^ (1 << b)]
-    return table
-
-
 def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
     # doctored pairings within the class size: a negative digit borrows from
     # the digits above it, but the lowest negative fiber reads back exact
@@ -272,7 +262,7 @@ def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
         doctored = {lam: rng.randint(0, size) for lam in partition_list(n)}
         doctored[(1,) * n] = size
         monkeypatch.setattr(characters, "_h_pairings", lambda mu: doctored)
-        want = _moebius_by_loop(n, doctored)
+        want = des_fibers_by_list(n, doctored)
         lowest = next((m for m, v in enumerate(want) if v < 0), None)
         if lowest is None:
             assert descent_distribution(mu).table == tuple(want)
@@ -282,6 +272,41 @@ def test_distribution_reports_the_lowest_negative_fiber_exactly(monkeypatch):
         with pytest.raises(ArithmeticError, match=re.escape(message)):
             descent_distribution(mu)
     assert negatives > 100
+
+
+def test_composition_shapes_match_the_mask_definition():
+    # the table of n is built from that of n - 1; the oracle reads each mask
+    for n in range(1, 15):
+        assert cdes._composition_shapes(n) == composition_shapes_by_mask(n), n
+
+
+def test_distribution_inverts_across_chunks():
+    # 2^13 and 2^14 digits: two and four chunks, the bits from log2(_CHUNK)
+    # up inverted by whole-chunk subtraction
+    assert cdes._CHUNK == 1 << 12
+    for mu in [(14,), (7, 7), (2,) * 7, (4, 3, 2, 2, 1, 1, 1), (15,), (5, 5, 5), (6, 4, 3, 2)]:
+        n = sum(mu)
+        want = des_fibers_by_list(n, characters.h_pairings(mu))
+        assert descent_distribution(mu).table == tuple(want), mu
+
+
+def test_distribution_reports_a_negative_fiber_in_an_upper_chunk(monkeypatch):
+    # a pairing set to 0 changes only the fibers of the supersets of its
+    # masks, so the lowest negative one is the lowest mask of that shape:
+    # (1^14) and (1^15) at the full set, in the last chunk, and (2, 1^13) at
+    # {1, ..., 13}, in the second of four; each reads back exactly
+    cases = [((14,), (1,) * 14), ((5, 4, 3, 2, 1), (2,) + (1,) * 13), ((15,), (1,) * 15)]
+    pairings = {mu: characters.h_pairings(mu) for mu, _ in cases}
+    for mu, lam in cases:
+        n = sum(mu)
+        doctored = {**pairings[mu], lam: 0}
+        monkeypatch.setattr(characters, "_h_pairings", lambda mu: doctored)
+        want = des_fibers_by_list(n, doctored)
+        lowest = next(m for m, v in enumerate(want) if v < 0)
+        assert lowest >= cdes._CHUNK, mu
+        message = f"negative Des fiber {want[lowest]} at {subset_elements(lowest)} for {mu}"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            descent_distribution(mu)
 
 
 def test_distribution_refuses_a_class_size_mismatch(monkeypatch):
@@ -378,7 +403,7 @@ def test_des_fibers_and_main_theorem_with_no_plethysm():
     classes = 0
     for n in range(1, 10):
         for mu in partition_list(n):
-            table = tuple(_moebius_by_loop(n, h_pairings_by_necklaces(mu)))
+            table = tuple(des_fibers_by_list(n, h_pairings_by_necklaces(mu)))
             assert descent_distribution(mu).table == table, mu
             sol = solve_extension_by_propagation(DescentDistribution(n, table))
             rectangle = len(set(mu)) == 1 and is_squarefree(mu[0])
@@ -734,9 +759,11 @@ def test_cellini_walks_only_classes_with_one_fixed_point(monkeypatch):
     for mu in [(1,), (3, 1), (2, 2, 1)]:
         with pytest.raises(AssertionError, match="work started"):
             cellini_closed(mu)
-    # the refusal still comes first: (5000) has no fixed point but is refused
+    # the fixed-point count comes before the walk refusal: (5000) is over
+    # the walk limit but has no fixed point, and (4999, 1) has one
+    assert not cellini_closed((5000,))
     with pytest.raises(ValueError, match="walk limit"):
-        cellini_closed((5000,))
+        cellini_closed((4999, 1))
 
 
 def test_cellini_single_letter_class_degenerate():

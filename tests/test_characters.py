@@ -23,7 +23,6 @@ from brute_force import (
 import hooklie
 from hooklie import characters
 from hooklie.characters import (
-    _drop_count,
     character_value,
     h_pairings,
     hook_mults_oracle,
@@ -248,20 +247,21 @@ def test_hook_mults_oracle_matches_schur_expansion():
 # -- Gessel-Reutenauer pairings ----------------------------------------------
 
 
-def test_drop_count_matches_assignment_count():
+def test_r_rows_match_assignment_count():
     # R(nu, lam) against a count over every assignment of the parts of nu to
     # len(nu) labelled blocks; a block-sum vector is read as the digits of
     # one integer in base n + 1, and lam pads to it with empty blocks
     for n in range(1, 8):
         base = n + 1
+        rows = characters._r_rows(n)
         for nu in partition_list(n):
             k = len(nu)
             weights = [[p * base**b for b in range(k)] for p in nu]
             counts = Counter(map(sum, product(*weights)))
-            for lam in partition_list(n):
+            for lam, got in zip(partition_list(n), rows[nu]):
                 code = sum(x * base**b for b, x in enumerate(lam))
                 want = counts[code] if len(lam) <= k else 0
-                assert _drop_count(nu, lam) == want, (nu, lam)
+                assert got == want, (nu, lam)
 
 
 def test_h_pairings_transpositions_of_s3():

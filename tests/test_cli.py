@@ -188,7 +188,7 @@ def test_bad_flag_value_exits_2(capsys):
     "argv",
     [
         ["construct", "5000"],
-        ["cellini", "5000"],
+        ["cellini", "4999,1"],
         ["verify", "kw-identity", "--n-max", "100000"],
     ],
 )
@@ -642,7 +642,8 @@ def test_affine_fibers_mismatch_names_the_class_and_subset(monkeypatch, capsys):
 
 
 def test_cellini_reports_rotation_closure(capsys):
-    for mu, closed in (("2,1", True), ("3,1", True), ("2,2", False)):
+    # (5000) is over the walk limit but has no fixed point: answered, not refused
+    for mu, closed in (("2,1", True), ("3,1", True), ("2,2", False), ("5000", False)):
         code, doc, _ = run_json(["cellini", mu], capsys)
         assert (code, doc["payload"], doc["passed"]) == (0, {"closed": closed}, True)
         code, out, _ = run(["cellini", mu, "--format", "text"], capsys)
