@@ -12,6 +12,16 @@ themselves, still walk the class, and cellini_closed only when the class
 has exactly one fixed point: for n >= 2 no other class is rotation
 closed, by a count its docstring proves.
 
+Neither computes a Des mask one element at a time.  The masks of the
+walked class (Cellini's, for cellini_closed) come from
+combinat._des_masks, which compares whole columns of a chunk of elements
+packed into 32-bit lanes, and check_axioms computes its own masks from
+the solution's elements the same way.  write_extension writes the dump as
+a token stream: per block of elements, columns of precomputed tokens
+interleaved by zip and joined once.  It keeps no per-class cache of
+formatted lines: only one block of text is alive at a time, where the
+lines of (9, 1) held whole peaked at 153.8 MiB.
+
 Every route here first passes combinat.check_walk the number of items it
 would walk, from combinat's subset_walk, class_walk or ribbon_walk, and is
 refused with ValueError before any work when that is over
@@ -47,20 +57,19 @@ import struct
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import and_, eq, lt, ne, sub
 from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 from . import characters
 from .combinat import (
-    cellini_descent_set,
+    _des_masks,
     check_class_type,
     check_walk,
     class_size,
     class_walk,
     conjugacy_class,
-    descent_set,
     full_mask,
     kostka_number,
     partition_list,
@@ -387,7 +396,7 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     check_walk(subset_walk(n), f"the subsets of [{n}]")
     check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     elements = tuple(conjugacy_class(mu))  # lexicographic
-    des = list(map(descent_set, elements))
+    des = _des_masks(elements, n)
     top = 1 << (n - 1)
     counts = Counter(des)
     table = tuple(counts[d] for d in range(top))
@@ -420,21 +429,28 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
 
 
 def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
-    """Exhaustive verification of a constructed extension.  A malformed
+    """Exhaustive verification of a constructed extension.  The Des masks
+    are computed here from sol.elements, a whole class at a time
+    (combinat._des_masks), never taken from the constructor.  A malformed
     solution (arrays of the wrong length, p not a permutation of the
-    indices, masks outside [n]) gets False, never an exception."""
+    indices, masks outside [n], or an element that is not an n-tuple with
+    entries in [n]) gets False, never an exception."""
     n, elements, cdes, p = sol.n, sol.elements, sol.cdes, sol.p
     full = full_mask(n)
     whole = len(cdes) == len(elements)  # one cDes per class element
     restricted = map(and_, cdes, repeat(~(1 << (n - 1))))  # cDes without n
+    try:
+        des = _des_masks(elements, n)
+    except (TypeError, ValueError):
+        des = None  # no Des mask to compare: the extension axiom fails
     rotated = {j: rotate_subset(j, n) for j in set(cdes) if 0 <= j <= full}
     nonzero = {j: c for j, c in enumerate(sol.fibers.table) if c}
     return {
-        "extension": whole and all(map(eq, restricted, map(descent_set, elements))),
+        "extension": whole and des is not None and all(map(eq, restricted, des)),
         "equivariance": whole
         and sorted(p) == list(range(len(cdes)))  # p is a bijection
         and list(map(cdes.__getitem__, p)) == list(map(rotated.get, cdes)),
-        "non-escher": all(0 < j < full for j in cdes),
+        "non-escher": not cdes or (min(cdes) > 0 and max(cdes) < full),
         "fiber-counts": dict(Counter(cdes)) == nonzero,
     }
 
@@ -466,7 +482,7 @@ def cellini_closed(mu) -> bool:
     if n >= 2 and mu.count(1) != 1:
         return False
     check_walk(class_walk(mu), f"the elements of a class of S_{n}")
-    counts = Counter(cellini_descent_set(pi) for pi in conjugacy_class(mu))
+    counts = Counter(_des_masks(conjugacy_class(mu), n, cyclic=True))
     rotated = Counter()
     for mask, k in counts.items():
         rotated[rotate_subset(mask, n)] += k
@@ -543,12 +559,16 @@ def straight_ribbon_fiber(mu, mask: int) -> int:
     return _straight_fibers(mu).get(mask, 0)
 
 
-# One element record and one fiber record as json.dump(..., sort_keys=True,
-# indent=1) lays them out inside a top-level list: keys at depth 3, list
-# items at depth 4.
-_RECORD = (
-    '  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": %s,\n   "p_image": %s\n  }'
-)
+# An element record as json.dump(..., sort_keys=True, indent=1) lays it out
+# inside a top-level list, keys at depth 3 and list items at depth 4, cut
+# into tokens: the head up to the first entry of "one_line", one token per
+# entry (the first without a separator), _MID from the last entry of
+# "one_line" to the first of "p_image", and _END.  Every head starts with
+# the ",\n" that separates it from the record before it.
+_HEAD = ',\n  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": [\n    '
+_SEP = ",\n    "
+_MID = '\n   ],\n   "p_image": [\n    '
+_END = "\n   ]\n  }"
 _FIBER = '  {\n   "count": %d,\n   "subset": %s\n  }'
 # Element records joined per write: a block is at most 81 KB on (9, 1), the
 # largest class admitted, and a record at most 612 characters at n = 18.
@@ -576,33 +596,53 @@ def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
     sol.elements, which construct_extension makes lexicographic, and
     "fibers" the nonzero fiber sizes {"count", "subset"} in mask order.  So
     the format is byte-stable: the same class always gives the same bytes.
-    The arrays are zipped in order and each record is filled into a
-    template; the records are joined and written in blocks of _BLOCK, so
-    the dump never sits in memory whole.
-    des is cDes without n, which the "extension" axiom checked against
-    descent_set for every element.
+    des is cDes without n, which the "extension" axiom checked against the
+    Des mask of every element.
+
+    The records are a token stream.  Built once per call: one head string
+    per cDes mask that occurs (its "cdes" and "des" lists), and two tables
+    from an entry 1..n to its token, one for the first entry of a list and
+    one, with the separator, for the others.  Each block of _BLOCK elements
+    is cut into columns by zip(*block), and the images under p likewise;
+    map(table.__getitem__, column) turns a column into tokens, and
+    zip(heads, *columns, repeat(_MID), *image_columns, repeat(_END))
+    interleaves them record by record for one join.  So no Python code runs
+    per element or per entry, and only one block of text is alive at a
+    time: the dump never sits in memory whole.  Formatting each distinct
+    record once per class would not save that: the lines of (9, 1) alone
+    held a 153.8 MiB peak.  The entries must be in [n], as in every
+    solution construct_extension returns.
     """
-    top = 1 << (sol.n - 1)
-    # at most 2^n masks against n!/z elements
-    subsets = {
-        j: (_int_list(subset_elements(j)), _int_list(subset_elements(j & ~top)))
-        for j in set(sol.cdes)
-    }
-    # the one-line lists of a class all have n entries: one %-format each
-    perm = _int_list(["%d"] * sol.n)
-    record = _RECORD % ("%s", "%s", perm, perm)
+    n = sol.n
+    top = 1 << (n - 1)
+    # the list of each cDes mask and of its Des mask, shared by the heads
+    # and the fiber rows: at most 2^n masks against n!/z elements
+    masks = set(sol.cdes)
+    lists = {j: _int_list(subset_elements(j)) for j in masks | {j & ~top for j in masks}}
+    heads = {j: _HEAD % (lists[j], lists[j & ~top]) for j in masks}
+    first = list(map(str, range(n + 1)))  # entry v at index v; 0 is unused
+    later = [_SEP + token for token in first]
+    tables = [first.__getitem__] + [later.__getitem__] * (n - 1)
     elements, cdes, p = sol.elements, sol.cdes, sol.p
     fh.write('{\n "elements": [')
-    sep = "\n"
     for start in range(0, len(elements), _BLOCK):
         stop = start + _BLOCK
-        block = zip(elements[start:stop], cdes[start:stop], p[start:stop])
-        records = [record % (subsets[j] + pi + elements[image]) for pi, j, image in block]
-        fh.write(sep + ",\n".join(records))
-        sep = ",\n"
-    fh.write("]" if sep == "\n" else "\n ]")  # no element: "elements": []
+        columns = map(map, tables, zip(*elements[start:stop]))
+        images = map(map, tables, zip(*map(elements.__getitem__, p[start:stop])))
+        records = zip(
+            map(heads.__getitem__, cdes[start:stop]),
+            *columns,
+            repeat(_MID),
+            *images,
+            repeat(_END),
+        )
+        text = "".join(chain.from_iterable(records))
+        fh.write(text[1:] if start == 0 else text)  # no "," before the first
+    fh.write("\n ]" if elements else "]")  # no element: "elements": []
     counts = [(j, c) for j, c in enumerate(sol.fibers.table) if c]
-    rows = ",\n".join(_FIBER % (c, _int_list(subset_elements(j))) for j, c in counts)
+    rows = ",\n".join(
+        _FIBER % (c, lists.get(j) or _int_list(subset_elements(j))) for j, c in counts
+    )
     fh.write(
         ',\n "fibers": [%s],\n "mu": %s,\n "n": %d\n}'
         % ("\n" + rows + "\n " if rows else "", _int_list(sol.mu, 1), sol.n)

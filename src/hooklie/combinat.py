@@ -11,6 +11,12 @@ that is over the limit.  subset_walk, class_walk and ribbon_walk give the
 counts of the cdes routes without building 2^n, n! or the partitions of n
 for a huge n; syt_descent_counts, and so kostka_number, checks its own.
 
+The Des masks of a whole class come from one private kernel, _des_masks,
+which packs each column of a chunk of elements into one integer with a
+32-bit lane per element and finds every descent of the column pair in a few
+big-integer operations; a cyclic variant adds Cellini's position n.
+descent_set and cellini_descent_set, one element at a time, are its oracle.
+
 Conventions used across the package:
 
 * partitions are weakly decreasing tuples of positive ints,
@@ -23,9 +29,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator
 
 __all__ = [
@@ -422,6 +430,60 @@ def cellini_descent_set(pi) -> int:
     if n and pi[n - 1] > pi[0]:
         mask |= 1 << (n - 1)
     return mask
+
+
+# Elements per chunk of _des_masks: 2^12 lanes of 32 bits make each packed
+# column an integer of 16 KiB, so the temporaries stay small however large
+# the class is
+_MASK_CHUNK = 1 << 12
+
+
+def _des_masks(elements, n: int, cyclic: bool = False) -> array:
+    """descent_set of every element, in order, or cellini_descent_set when
+    cyclic; descent_set and cellini_descent_set are its oracle.
+
+    elements is any iterable of n-tuples with entries in [n], 1 <= n <= 32,
+    such as a class walk; anything else is refused with ValueError (or
+    TypeError for a non-int entry).  It is read in chunks of _MASK_CHUNK
+    elements.  Column i of a chunk is packed into one integer with a 32-bit
+    lane per element, entry pi_i in the low byte of its lane.  With H bit 31
+    of every lane, ((col_(i+1) | H) - col_i) & H sets bit 31 exactly where
+    pi_(i+1) >= pi_i, as every entry is below 2^31 and so no lane borrows
+    from the next.  Shifted down to bit i - 1, the bit of position i, and
+    OR-ed in, those non-descents are complemented once at the end.  The
+    cyclic variant compares column 1 with column n for Cellini's position
+    n.  So a chunk costs about 5n big-integer operations on 16 KiB
+    integers, not one Python comparison per entry, and the masks are
+    unpacked with array('I')."""
+    if not 1 <= n <= 32:
+        raise ValueError(f"Des masks of S_{n} do not fit a 32-bit lane")
+    masks = array("I")
+    order = sys.byteorder
+    low = 0 if order == "little" else 3  # the byte of a lane holding its entry
+    entries = bytes(range(1, n + 1))
+    bits = n if cyclic else n - 1
+    it = iter(elements)
+    while chunk := list(islice(it, _MASK_CHUNK)):
+        width = 4 * len(chunk)
+        ones = int.from_bytes(array("I", [1]) * len(chunk), order)
+        high = ones << 31
+        lane = bytearray(width)
+        cols = []
+        for col in zip(*chunk, strict=True):
+            packed = bytes(col)  # ValueError on an entry outside [0, 255]
+            if packed.translate(None, entries):
+                raise ValueError(f"an element has an entry outside [{n}]")
+            lane[low::4] = packed
+            cols.append(int.from_bytes(lane, order))
+        if len(cols) != n:
+            raise ValueError(f"the elements are not {n}-tuples")
+        rises = 0
+        for k in range(n - 1):
+            rises |= (((cols[k + 1] | high) - cols[k]) & high) >> (31 - k)
+        if cyclic:
+            rises |= (((cols[0] | high) - cols[-1]) & high) >> (32 - n)
+        masks.frombytes((rises ^ (ones * ((1 << bits) - 1))).to_bytes(width, order))
+    return masks
 
 
 # -- subsets as bitmasks -----------------------------------------------------

@@ -6,6 +6,7 @@ enumeration of tests/brute_force.py, and the slice-pass solver against the
 dict-and-stack propagation there."""
 
 import io
+import itertools
 import json
 import math
 import random
@@ -44,6 +45,7 @@ from hooklie.cdes import (
 )
 from hooklie.characters import schur_multiplicities
 from hooklie.combinat import (
+    cellini_descent_set,
     class_size,
     conjugacy_class,
     descent_set,
@@ -546,7 +548,7 @@ def test_construct_four_cycles_worked_example():
 
 
 def test_check_axioms_answers_on_malformed_solutions():
-    # four doctored copies of the (4,) extension; check_axioms answers each
+    # seven doctored copies of the (4,) extension; check_axioms answers each
     # with False where it fails and raises on none
     sol = construct_extension((4,))
     broken = {
@@ -555,8 +557,22 @@ def test_check_axioms_answers_on_malformed_solutions():
         "cdes one entry short": sol._replace(cdes=sol.cdes[:-1]),
         "cdes with wrong Des bits": sol._replace(cdes=(sol.cdes[0] ^ 1,) + sol.cdes[1:]),
     }
+    # (4, 1, 2, 3), the fifth element, with an entry dropped, its 4 turned
+    # into 5 = n + 1 or into 300: each keeps the descent set {1}, so only the
+    # check that an element is an n-tuple over [n] can fail them
+    assert sol.elements[4] == (4, 1, 2, 3)
+    for name, element in {
+        "element one entry short": (4, 1, 2),
+        "element with n + 1": (5, 1, 2, 3),
+        "element with 300": (300, 1, 2, 3),
+    }.items():
+        assert descent_set(element) == descent_set(sol.elements[4])
+        broken[name] = sol._replace(elements=sol.elements[:4] + (element,) + sol.elements[5:])
     got = {name: check_axioms(doctored) for name, doctored in broken.items()}
     ok = dict.fromkeys(["extension", "equivariance", "non-escher", "fiber-counts"], True)
+    # the elements are read by extension alone
+    for name in ("element one entry short", "element with n + 1", "element with 300"):
+        assert got[name] == {**ok, "extension": False}, name
     # p is read by equivariance alone
     assert got["p out of range"] == {**ok, "equivariance": False}
     assert got["p repeats an index"] == {**ok, "equivariance": False}
@@ -683,6 +699,26 @@ def test_write_extension_blocks_match_json_dump(size):
     )
     want = json.dumps(extension_records(sol), sort_keys=True, indent=1)
     assert _dump(sol) == want
+
+
+def test_write_extension_two_digit_values_match_json_dump():
+    # n = 10: the entry tokens of 10 and the lists of masks with 10 are
+    # exercised.  A prefix of 513 elements of the walk of (9, 1), three
+    # blocks and one record over, each with its Cellini set as cDes, whose
+    # Des part is its descent set, and a cyclic p; not an extension, only
+    # a writer input
+    elements = tuple(itertools.islice(conjugacy_class((9, 1)), 513))
+    masks = tuple(map(cellini_descent_set, elements))
+    sol = CyclicExtensionSolution(
+        (9, 1),
+        10,
+        FiberSolution(10, dense_table(Counter(masks), 1 << 10)),
+        elements,
+        masks,
+        tuple((i + 1) % len(elements) for i in range(len(elements))),
+    )
+    assert any(10 in pi for pi in elements) and any(m >> 9 for m in masks)
+    assert _dump(sol) == json.dumps(extension_records(sol), sort_keys=True, indent=1)
 
 
 class _CharCount:

@@ -241,6 +241,78 @@ def test_cellini_descent_set_examples():
     assert subset_elements(cellini_descent_set((2, 4, 1, 3))) == (2, 4)
 
 
+def _lane_masks(elements, n):
+    """The lane kernel's Des and Cellini masks, as lists."""
+    return (
+        combinat._des_masks(elements, n).tolist(),
+        combinat._des_masks(elements, n, cyclic=True).tolist(),
+    )
+
+
+def _oracle_masks(elements):
+    return list(map(descent_set, elements)), list(map(cellini_descent_set, elements))
+
+
+def test_lane_masks_match_descent_sets_on_every_class():
+    # every element of every class with n <= 8; cellini_closed reads the
+    # walk itself, a generator, so the cyclic masks are read from it too
+    for n in range(1, 9):
+        for mu in partition_list(n):
+            elements = tuple(conjugacy_class(mu))
+            des, cyclic = _oracle_masks(elements)
+            assert _lane_masks(elements, n) == (des, cyclic), mu
+            walked = combinat._des_masks(conjugacy_class(mu), n, cyclic=True)
+            assert walked.tolist() == cyclic, mu
+
+
+def test_lane_masks_match_descent_sets_across_chunks():
+    # prefixes of the (7, 1) class, 5760 elements, ending one short of, at
+    # and one past each multiple of the chunk length
+    elements = tuple(conjugacy_class((7, 1)))
+    chunk = combinat._MASK_CHUNK
+    assert len(elements) > chunk
+    sizes = [
+        edge + d
+        for edge in range(0, len(elements) + 1, chunk)
+        for d in (-1, 0, 1)
+        if 0 <= edge + d <= len(elements)
+    ]
+    for size in sizes:
+        prefix = elements[:size]
+        assert _lane_masks(prefix, 8) == _oracle_masks(prefix), size
+
+
+def test_lane_masks_at_the_ends_of_the_range():
+    # n = 1 and 2, and n = 18, where Cellini's position n sits at lane bit 17
+    assert _lane_masks([(1,)], 1) == ([0], [0])
+    assert _lane_masks([(1, 2), (2, 1)], 2) == ([0, 1], [2, 1])
+    identity = tuple(range(1, 19))
+    perms = [identity, identity[::-1], identity[1:] + identity[:1]]
+    assert _lane_masks(perms, 18) == _oracle_masks(perms)
+    assert _lane_masks(perms, 18) == (
+        [0, (1 << 17) - 1, 1 << 16],
+        [1 << 17, (1 << 17) - 1, 1 << 16],
+    )
+    assert _lane_masks([], 5) == ([], [])
+
+
+def test_lane_masks_refuse_what_they_cannot_pack():
+    cases = {
+        "an entry short": [(1, 2, 3), (2, 1)],
+        "an entry over": [(1, 2, 3, 4)],
+        "an entry 0": [(0, 1, 2)],
+        "an entry n + 1": [(1, 2, 4)],
+        "an entry 300": [(300, 1, 2)],
+        "a negative entry": [(-1, 1, 2)],
+    }
+    for name, elements in cases.items():
+        with pytest.raises(ValueError):
+            combinat._des_masks(elements, 3)
+    for n in (0, 33):
+        with pytest.raises(ValueError, match="32-bit lane"):
+            combinat._des_masks([], n)
+
+
 def test_cellini_descents_never_empty_nor_full():
     for n in range(2, 7):
         full = full_mask(n)
