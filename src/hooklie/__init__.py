@@ -10,7 +10,7 @@ Modules
 -------
 combinat    partitions, permutations, subset masks, standard tableaux counted
             by descent set, Kostka numbers read from those counts
-series      integer polynomials, truncated two-variable series, Witt transform
+series      integer polynomials (Kronecker products), truncated series in y
 characters  Murnaghan-Nakayama values, higher Lie characters by plethysm
 lie         hook multiplicities, generating series, square-free criterion
 cdes        descent fibers, cyclic extension solver and constructor
@@ -53,7 +53,7 @@ from .lie import (
     squarefree_criterion,
     witt_coeffs,
 )
-from .series import BiSeries, IntPolynomial, witt_transform
+from .series import BiSeries, IntPolynomial
 
 __version__ = "0.1.0"
 
@@ -98,5 +98,4 @@ __all__ = [
     "squarefree_criterion",
     "straight_ribbon_fiber",
     "witt_coeffs",
-    "witt_transform",
 ]

@@ -222,7 +222,10 @@ def _adams_factor(i: int, m: int) -> IntPolynomial:
         return (lie if m % 2 else lie.reflect()).substitute_power(m)
     total = IntPolynomial()
     for d in filter(moebius, divisors(i)):
-        step = IntPolynomial((1, (-1) ** (d + 1))) ** (i // d)
+        e = i // d
+        row = IntPolynomial(math.comb(e, k) for k in range(e + 1))  # (1 + t)^e
+        # (1 - (-t)^d)^e is (1 + t^d)^e at odd d and (1 - t^d)^e at even d
+        step = row if d % 2 else row.reflect()
         total = total + step.substitute_power(d) * moebius(d)
     return _divide(total, IntPolynomial((i,)), f"phi(p_1[Lie_{i}])")
 

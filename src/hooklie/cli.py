@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: hooks, series, verify <suite>, construct, cellini, witt;
+Subcommands: hooks, series, verify <suite>, construct, cellini;
 each takes only the flags it reads.  Reports render as json (deterministic
 given the command line; no file is read), csv, or text; timing always goes
 to stderr.
@@ -40,7 +40,7 @@ from .combinat import (
     subset_elements,
     subset_walk,
 )
-from .series import IntPolynomial, is_unimodal, witt_transform
+from .series import IntPolynomial, is_unimodal
 
 DEFAULT_S_MAX = 5
 
@@ -260,22 +260,6 @@ def cmd_series(args) -> Report:
         crit.dichotomy_holds,
         f"squarefree={crit.squarefree}",
     )
-    return report
-
-
-def cmd_witt(args) -> Report:
-    r = args.r
-    try:
-        coeffs = [int(c) for c in args.coeffs.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse coefficients {args.coeffs!r}")
-    p = IntPolynomial(coeffs)
-    report = Report("witt", {"r": r, "coeffs": coeffs}, {})
-    w = witt_transform(p, r)
-    payload = {"transform": poly_table(w)}
-    if args.reflect:
-        payload["reflected"] = poly_table(w.reflect())
-    report.payload = payload
     return report
 
 
@@ -568,12 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cellini", help="rotation closure of Cellini descents")
     sp.add_argument("mu", help="partition, e.g. 2,1")
 
-    sp = sub.add_parser("witt", help="Witt transform of an integer polynomial")
-    sp.add_argument("r", type=int)
-    sp.add_argument("--coeffs", default="1,-1",
-                    help="comma separated, constant term first")
-    sp.add_argument("--reflect", action="store_true", help="also print at -x")
-
     for sp in sub.choices.values():
         sp.add_argument("--format", choices=sorted(RENDERERS), default="text",
                         help="report format on stdout")
@@ -586,7 +564,6 @@ COMMANDS = {
     "verify": cmd_verify,
     "construct": cmd_construct,
     "cellini": cmd_cellini,
-    "witt": cmd_witt,
 }
 
 

@@ -273,7 +273,7 @@ def extension_certificate(mu) -> Union[Tuple[int, ...], NoExtension]:
     """
     mu = check_class_type(mu)
     sizes = set(mu)
-    lift = IntPolynomial((1, 1)) ** (len(sizes) - 1)
+    lift = IntPolynomial(math.comb(len(sizes) - 1, k) for k in range(len(sizes)))
     m = math.prod((hook_poly(i, mu.count(i)) for i in sizes), start=lift).coeffs
     m += (0,) * (sum(mu) - len(m))
     oracle = characters.hook_mults_oracle(mu)

@@ -5,24 +5,23 @@ BiSeries is a record (s_max, polys) of the coefficients of y^0 .. y^(s_max)
 as IntPolynomials, exact in x (no x-truncation anywhere); lie builds its
 rows, and no series is ever multiplied.  Nothing here ever rounds.
 
-Products and powers of polynomials go by Kronecker substitution: the
-coefficients are packed as base-2^k digits of one Python integer (the
-polynomial evaluated at x = 2^k), the integers are multiplied or powered,
-and the digits are read back as signed coefficients.  k is chosen before
-packing from an a-priori bound on every output coefficient, so each digit
-holds its coefficient exactly and no carry crosses into its neighbour.
+Products of polynomials go by Kronecker substitution: the coefficients
+are packed as base-2^k digits of one Python integer (the polynomial
+evaluated at x = 2^k), the two integers are multiplied, and the digits
+are read back as signed coefficients.  k is chosen before packing from
+an a-priori bound on every output coefficient, so each digit holds its
+coefficient exactly and no carry crosses into its neighbour.  __mul__ is
+the one packing path; the binomial rows of characters and lie are
+written with math.comb.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .combinat import divisors, moebius
-
 __all__ = [
     "IntPolynomial",
     "BiSeries",
-    "witt_transform",
     "is_unimodal",
 ]
 
@@ -81,9 +80,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -102,12 +98,6 @@ class IntPolynomial:
             out[i] += v
         return IntPolynomial(out)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-v for v in self.coeffs)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial(other * v for v in self.coeffs)
@@ -119,17 +109,6 @@ class IntPolynomial:
         return IntPolynomial(_unpack(packed, len(a) + len(b) - 1, nb))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "IntPolynomial":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        a = self.coeffs
-        if e == 0:
-            return IntPolynomial((1,))
-        if not a:
-            return self
-        nb = _digit_bytes(sum(map(abs, a)) ** e)
-        return IntPolynomial(_unpack(_pack(a, nb) ** e, (len(a) - 1) * e + 1, nb))
 
     def substitute_power(self, d: int) -> "IntPolynomial":
         """p(x^d)."""
@@ -204,29 +183,6 @@ class BiSeries(NamedTuple):
         if not 0 <= s <= self.s_max:
             raise IndexError(f"y-degree {s} outside truncation {self.s_max}")
         return self.polys[s]
-
-
-def witt_transform(p: IntPolynomial, r: int) -> IntPolynomial:
-    """(1/r) * sum over d | r of moebius(d) * p(x^d)^(r/d).
-
-    Each p^(r/d) is one Kronecker-substitution power, its coefficient at
-    x^i added at x^(i*d).  Every coefficient of the sum must be divisible
-    by r; a failure is a bug or invalid input and raises instead of
-    rounding.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    acc = [0] * (p.degree * r + 1) if p else []
-    for d in divisors(r):
-        md = moebius(d)
-        if md == 0:
-            continue
-        for i, c in enumerate((p ** (r // d)).coeffs):
-            acc[i * d] += md * c
-    bad = [v for v in acc if v % r]
-    if bad:
-        raise ArithmeticError(f"Witt transform not integral at r={r}")
-    return IntPolynomial(v // r for v in acc)
 
 
 def is_unimodal(seq) -> bool:

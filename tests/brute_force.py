@@ -52,10 +52,13 @@ extension_records builds the document of a construct dump as a dict, with
 des recomputed from each permutation; json.dumps of it with sort_keys=True
 and indent=1 is the reference for the streaming hooklie.cdes.write_extension.
 
-schoolbook_mul and power_by_squaring multiply coefficient by coefficient;
-they are the reference for the Kronecker-substitution product and power
-of hooklie.series.IntPolynomial, and witt_transform_by_schoolbook
-assembles the Witt transform from them alone.
+schoolbook_mul multiplies coefficient by coefficient; it is the reference
+for the Kronecker-substitution product of hooklie.series.IntPolynomial.
+power_by_squaring chains schoolbook_mul; the tests build their binomial
+rows with it, against the math.comb rows of hooklie.characters and
+hooklie.lie.  witt_transform_by_schoolbook assembles the Witt transform
+from the two alone; reflected at 1 - x it is the reference for
+hooklie.lie.witt_coeffs.
 
 standard_tableaux builds every standard Young tableau of a straight shape
 as its rows, one entry at a time, and syt_descent_counts_by_enumeration

@@ -44,7 +44,7 @@ def test_parse_partition():
 
 
 def test_timing_goes_to_stderr_only(capsys):
-    code, out, err = run(["witt", "3"], capsys)
+    code, out, err = run(["hooks", "2", "1"], capsys)
     assert code == 0
     assert "elapsed-seconds" in err
     assert "elapsed-seconds" not in out
@@ -146,7 +146,6 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     assert flags == {
         "hooks": {"--format"},
         "series": {"--s-max", "--format"},
-        "witt": {"--format", "--coeffs", "--reflect"},
         "construct": {"--output", "--format"},
         "cellini": {"--format"},
         "verify": {"--n-max", "--r-max", "--s-max", "--format"},
@@ -178,10 +177,21 @@ def test_bad_flag_value_exits_2(capsys):
     code, out, err = run(["verify", "cellini", "--n-max", "0"], capsys)
     assert code == 2
     # the library refuses these with ValueError
-    for argv in (["hooks", "0", "2"], ["series", "3", "--s-max", "0"], ["witt", "0"]):
+    for argv in (["hooks", "0", "2"], ["series", "3", "--s-max", "0"]):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+def test_removed_witt_command_exits_2(capsys):
+    # the Witt coefficients are the witt row of hooks; no command takes the
+    # Witt transform of an arbitrary polynomial
+    with pytest.raises(SystemExit) as exc:
+        main(["witt", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'witt'" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -324,42 +334,6 @@ def test_series_json_bytes_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_witt_reflect(capsys):
-    code, doc, _ = run_json(["witt", "6", "--reflect"], capsys)
-    assert code == 0
-    reflected = {row["k"]: row["value"] for row in doc["payload"]["reflected"]}
-    assert reflected == {0: "0", 1: "1", 2: "3", 3: "3", 4: "2", 5: "1"}
-
-
-
-def test_witt_unparsable_coefficients_exit_2(capsys):
-    code, out, err = run(["witt", "3", "--coeffs", "1,x"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: cannot parse coefficients '1,x'\n"
-
-# SHA-256 of the stdout of `hooklie witt <args> --format json` as the
-# schoolbook product and power wrote it; the Kronecker kernel must keep
-# every byte on user polynomials.
-WITT_DIGESTS = {
-    "user-poly-reflected": (
-        "12 --coeffs 3,-7,0,5 --reflect",
-        "03e9d8257e630a0014a50b740b993e38b94bdd7bc198adea19e31dff8743480a",
-    ),
-    "one-minus-x-r60": (
-        "60",
-        "e4a004c522e9c7573d7a2dd6dd85f3779f860d3bb41313d0e9ae8010768bb4d0",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WITT_DIGESTS))
-def test_witt_json_bytes_are_pinned(name, capsys):
-    args, digest = WITT_DIGESTS[name]
-    code, out, _ = run(["witt", *args.split(), "--format", "json"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 # SHA-256 of the stdout of `hooklie hooks <r> <s> --format json` as the
 # power-sum projection of the hook oracle wrote it; the specialization of
 # Thrall's product must keep every byte.
@@ -433,11 +407,12 @@ def test_csv_and_text_formats_render(capsys):
 def test_csv_and_text_show_empty_lists_and_dicts(capsys):
     # csv and text walk the report as json lays it out, so an empty list or
     # dict is a field of its own, not a missing one
-    code, out, _ = run(["witt", "3", "--coeffs", "0", "--format", "csv"], capsys)
+    code, out, _ = run(["verify", "cellini", "--n-max", "1", "--format", "csv"], capsys)
     assert code == 0
-    rows = out.splitlines()
-    assert "payload.transform,[]" in rows
-    assert "assertions,[]" in rows
+    assert "payload.closed_classes,[]" in out.splitlines()
+    code, out, _ = run(["hooks", "2", "1", "--format", "csv"], capsys)
+    assert code == 0
+    assert "assertions,[]" in out.splitlines()
     code, out, _ = run(["verify", "gr-fibers", "--n-max", "2", "--format", "csv"], capsys)
     assert code == 0
     assert "payload,{}" in out.splitlines()
@@ -884,13 +859,12 @@ def test_table_file_cannot_change_results(tmp_path, capsys):
 
 
 def test_console_entry_matches_module_run(tmp_path):
-    a = _module_run(["witt", "5", "--format", "json"])
+    a = _module_run(["hooks", "5", "1", "--format", "json"])
     assert a.returncode == 0
     doc = json.loads(a.stdout)
-    transform = {row["k"]: row["value"] for row in doc["payload"]["transform"]}
-    # (1/5)((1-x)^5 - (1-x^5)) = -x + 2x^2 - 2x^3 + x^4
-    assert transform == {0: "0", 1: "-1", 2: "2", 3: "-2", 4: "1"}
-
+    witt = {row["k"]: row["value"] for row in doc["payload"]["witt"]}
+    # f(-x) = (1/5)((1-x)^5 - (1-x^5)) = -x + 2x^2 - 2x^3 + x^4
+    assert witt == {0: "0", 1: "1", 2: "2", 3: "2", 4: "1", 5: "0"}
 
 
 def test_entrypoint_exits_with_the_main_status(monkeypatch, capsys):

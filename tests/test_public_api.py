@@ -57,7 +57,6 @@ PINNED = {
         "squarefree_criterion",
         "straight_ribbon_fiber",
         "witt_coeffs",
-        "witt_transform",
     },
     "hooklie.combinat": {
         "moebius",
@@ -87,7 +86,6 @@ PINNED = {
     "hooklie.series": {
         "IntPolynomial",
         "BiSeries",
-        "witt_transform",
         "is_unimodal",
     },
     "hooklie.characters": {
