@@ -43,19 +43,20 @@ then drops it), so the solution is unique when it exists.  The
 dict-and-stack propagation from c_() = 0 is the test oracle
 (tests/brute_force.py).
 
-Both fiber records hold one dense tuple over every mask, zeros included:
-DescentDistribution.table has the 2^(n-1) Des fibers and FiberSolution.table
-the 2^n cDes fibers, as the inversion and the solver build them, so neither
-is rebuilt into a dict.  count(mask) reads the table and gives 0 outside
-it; DescentDistribution.fibers and FiberSolution.counts are read-only
-mappings of the nonzero entries, in increasing mask order.
+Every count table is dense, one entry per mask: DescentDistribution.table
+the 2^(n-1) Des fibers (of the inversion or of _straight_fibers' Schur
+expansion), FiberSolution.table the 2^n cDes fibers of the solver's one
+list.  DescentDistribution.fibers and FiberSolution.counts are
+MappingProxyType views of the nonzero entries in mask order, built on
+access.  One check, _rotation_mismatch, tests c_J = c_(sh J) for the solver
+and for cellini_closed's table.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import and_, eq, lt, ne, sub
@@ -97,33 +98,13 @@ __all__ = [
 ]
 
 
-class _Nonzero(Mapping):
-    """Read-only view of the nonzero entries of a dense table, mask to
-    count, in increasing mask order."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: Tuple[int, ...]):
-        self._table = table
-
-    def __getitem__(self, mask: int) -> int:
-        table = self._table
-        if isinstance(mask, int) and 0 <= mask < len(table) and table[mask]:
-            return table[mask]
-        raise KeyError(mask)
-
-    def __iter__(self) -> Iterator[int]:
-        return compress(range(len(self._table)), self._table)
-
-    def __len__(self) -> int:
-        return len(self._table) - self._table.count(0)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())})"
-
-
 def _entry(table: Tuple[int, ...], mask: int) -> int:
     return table[mask] if 0 <= mask < len(table) else 0
+
+
+def _nonzero(table: Tuple[int, ...]) -> Mapping[int, int]:
+    masks = compress(range(len(table)), table)
+    return MappingProxyType(dict(zip(masks, compress(table, table))))
 
 
 class DescentDistribution(NamedTuple):
@@ -136,7 +117,7 @@ class DescentDistribution(NamedTuple):
     @property
     def fibers(self) -> Mapping[int, int]:
         """The nonzero fibers, read-only, in increasing mask order."""
-        return _Nonzero(self.table)
+        return _nonzero(self.table)
 
     def count(self, mask: int) -> int:
         """table[mask], and 0 for a mask outside [n-1]."""
@@ -165,7 +146,7 @@ class FiberSolution(NamedTuple):
     @property
     def counts(self) -> Mapping[int, int]:
         """The nonzero c_J, read-only, in increasing mask order."""
-        return _Nonzero(self.table)
+        return _nonzero(self.table)
 
     def count(self, mask: int) -> int:
         """table[mask], and 0 for a mask outside [n]."""
@@ -314,16 +295,26 @@ def _checked_distribution(
     return DescentDistribution(sum(mu), table)
 
 
+def _rotation_mismatch(c: List[int]) -> Optional[int]:
+    """The lowest mask J with c[J] != c[sh J] in a table c over the 2^n
+    masks of [n], or None.  sh J is 2J, or 2J + 1 - 2^n when J holds n, so
+    the halves of c are compared with its even and odd entries."""
+    top = len(c) >> 1
+    if c[:top] == c[::2] and c[top:] == c[1::2]:
+        return None
+    return list(map(ne, c, c[::2] + c[1::2])).index(True)
+
+
 def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasible]:
     """Unique cDes-fiber sizes consistent with the distribution, or
     Infeasible with the violated constraint.
 
-    One pass in descending mask from c_[n] = 0.  For j inside [n-1], let
-    L[j] = c_j and H[j] = c_(j u {n}).  Rotation invariance gives
-    H[j] = c_(k u {n}) for odd j and c_k for even j, with
+    One pass in descending mask from c_[n] = 0 over one list c of 2^n
+    entries, c[J] = c_J.  For j inside [n-1], rotation invariance gives
+    c_(j u {n}) = c_(k u {n}) for odd j and c_k for even j, with
     k = (j >> 1) | 2^(n-2) > j unless j = [n-1]; pairing
-    (c_D + c_(D u {n}) = Des fiber of D) then gives L = f - H.  Each block
-    of masks [2^(n-1) - 2^i, 2^(n-1) - 2^(i-1)) reads only the block above
+    (c_D + c_(D u {n}) = Des fiber of D) then gives c_j.  Each block of
+    masks [2^(n-1) - 2^i, 2^(n-1) - 2^(i-1)) reads only the block above
     it, so it is two strided slice copies and one elementwise subtraction.
 
     Three checks follow the pass, in this order; the first reads the
@@ -346,21 +337,19 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
     if n < 1 or len(f) != 1 << (n - 1):
         raise ValueError(f"a Des table of S_{n} needs 2^(n-1) entries, got {len(f)}")
     top = len(f)
-    low = [0] * top  # L[j] = c_j
-    high = [0] * top  # H[j] = c_(j u {n}); H[top - 1] = c_[n] = 0
-    low[-1] = f[-1]
+    c = [0] * (top << 1)  # c[j] = c_j, c[top + j] = c_(j u {n}); c_[n] = 0
+    c[top - 1] = f[-1]
     end = top - 1
     for i in range(1, n):
         start = top - (1 << i)
         width = end - start  # the block above starts at end, with half as many
-        high[start:end:2] = low[end : end + (width + 1) // 2]
-        high[start + 1 : end : 2] = high[end : end + width // 2]
-        low[start:end] = map(sub, f[start:end], high[start:end])
+        hi, stop = top + start, top + end  # the same block of sets with n
+        c[hi:stop:2] = c[end : end + (width + 1) // 2]
+        c[hi + 1 : stop : 2] = c[stop : stop + width // 2]
+        c[start:end] = map(sub, f[start:end], c[hi:stop])
         end = start
-    c = low + high  # c[J] for every mask J of [n]
-    rotated = c[::2] + c[1::2]  # rotated[J] = c_(sh J)
-    if c != rotated:
-        mask = list(map(ne, c, rotated)).index(True)
+    mask = _rotation_mismatch(c)
+    if mask is not None:
         return Infeasible("conflicting-counts", subset_elements(mask))
     if c[0]:
         return Infeasible("nonzero-full-set", subset_elements(full_mask(n)))
@@ -444,20 +433,20 @@ def check_axioms(sol: CyclicExtensionSolution) -> Dict[str, bool]:
     except (TypeError, ValueError):
         des = None  # no Des mask to compare: the extension axiom fails
     rotated = {j: rotate_subset(j, n) for j in set(cdes) if 0 <= j <= full}
-    nonzero = {j: c for j, c in enumerate(sol.fibers.table) if c}
     return {
         "extension": whole and des is not None and all(map(eq, restricted, des)),
         "equivariance": whole
         and sorted(p) == list(range(len(cdes)))  # p is a bijection
         and list(map(cdes.__getitem__, p)) == list(map(rotated.get, cdes)),
         "non-escher": not cdes or (min(cdes) > 0 and max(cdes) < full),
-        "fiber-counts": dict(Counter(cdes)) == nonzero,
+        "fiber-counts": dict(Counter(cdes)) == sol.fibers.counts,
     }
 
 
 def cellini_closed(mu) -> bool:
     """Whether the multiset of Cellini cyclic descent sets of the class
-    is invariant under rotation.
+    is invariant under rotation: the solver's _rotation_mismatch reads its
+    dense count table over the masks of [n], read-only.
 
     For n >= 2 only a class with exactly one fixed point is walked; no
     other class is closed, so any other answers False at once, whatever
@@ -483,10 +472,7 @@ def cellini_closed(mu) -> bool:
         return False
     check_walk(class_walk(mu), f"the elements of a class of S_{n}")
     counts = Counter(_des_masks(conjugacy_class(mu), n, cyclic=True))
-    rotated = Counter()
-    for mask, k in counts.items():
-        rotated[rotate_subset(mask, n)] += k
-    return counts == rotated
+    return _rotation_mismatch([counts[j] for j in range(1 << n)]) is None
 
 
 def cyclic_composition(n: int, mask: int) -> Tuple[int, ...]:
@@ -534,19 +520,19 @@ def affine_ribbon_fiber(mu, mask: int, schur_mults: Dict[tuple, int]) -> int:
     return total
 
 
-def _straight_fibers(mu) -> Dict[int, int]:
-    """Nonzero Des-fiber counts of the class by mask of [n-1], predicted
-    from its Schur expansion: sum over lam of <psi^mu, chi^lam> times
+def _straight_fibers(mu) -> DescentDistribution:
+    """The Des-fiber table of the class, predicted from its Schur
+    expansion: sum over lam of <psi^mu, chi^lam> times
     syt_descent_counts(lam), the standard tableaux of shape lam by Des; a
     class over the walk limit (ribbon_walk) is refused with ValueError."""
     n = sum(mu)
     check_walk(ribbon_walk(n), f"the (mask, shape) pairs of a class of S_{n}")
-    table: Dict[int, int] = {}
+    table = [0] * (1 << (n - 1))
     for lam, m in characters.schur_multiplicities(mu).items():
         if m:
             for mask, count in syt_descent_counts(lam).items():
-                table[mask] = table.get(mask, 0) + m * count
-    return table
+                table[mask] += m * count
+    return DescentDistribution(n, tuple(table))
 
 
 def straight_ribbon_fiber(mu, mask: int) -> int:
@@ -556,7 +542,7 @@ def straight_ribbon_fiber(mu, mask: int) -> int:
     n = sum(check_class_type(mu))
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")
-    return _straight_fibers(mu).get(mask, 0)
+    return _straight_fibers(mu).table[mask]
 
 
 # An element record as json.dump(..., sort_keys=True, indent=1) lays it out
@@ -639,7 +625,7 @@ def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
         text = "".join(chain.from_iterable(records))
         fh.write(text[1:] if start == 0 else text)  # no "," before the first
     fh.write("\n ]" if elements else "]")  # no element: "elements": []
-    counts = [(j, c) for j, c in enumerate(sol.fibers.table) if c]
+    counts = sol.fibers.counts.items()
     rows = ",\n".join(
         _FIBER % (c, lists.get(j) or _int_list(subset_elements(j))) for j, c in counts
     )

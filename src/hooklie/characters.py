@@ -48,7 +48,8 @@ import math
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul
-from typing import Dict, Iterator, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .combinat import (
     _centralizer_order,
@@ -282,14 +283,14 @@ def _power_products(n: int, k: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _r_rows(n: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+def _r_rows(n: int) -> Mapping[Tuple[int, ...], Tuple[int, ...]]:
     """For every nu |- n, the row of R(nu, lam) = <p_nu, h_lam>, the
-    coefficient of m_lam in p_nu, over lam in partition_list(n).  By
-    recurrence on n from p_() = m_(): p_nu = p_nu' p_k, with k the last
+    coefficient of m_lam in p_nu, over lam in partition_list(n), read-only.
+    By recurrence on n from p_() = m_(): p_nu = p_nu' p_k, with k the last
     part of nu and nu' the rest, so the row of nu is the row of nu' pushed
     through _power_products(n, k)."""
     if n == 0:
-        return {(): (1,)}
+        return MappingProxyType({(): (1,)})
     lams = partition_list(n)
     rows = {}
     for nu in lams:
@@ -300,7 +301,7 @@ def _r_rows(n: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
                 for j, mult in terms:
                     row[j] += r * mult
         rows[nu] = tuple(row)
-    return rows
+    return MappingProxyType(rows)
 
 
 def h_pairings(mu) -> Dict[Tuple[int, ...], int]:

@@ -404,11 +404,11 @@ def suite_gr_fibers(payload: dict, n_max: int) -> Iterator[tuple]:
         bad = []
         for mu in partition_list(n):
             fibers = cdes.descent_distribution(mu).table
-            table = cdes._straight_fibers(mu)
+            table = cdes._straight_fibers(mu).table
             bad.extend(
                 {"mu": list(mu), "J": subset_list(mask)}
                 for mask, count in enumerate(fibers)
-                if table.get(mask, 0) != count
+                if table[mask] != count
             )
         yield f"descent-fibers-match-schur-expansion-n={n}", bad
 

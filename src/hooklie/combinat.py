@@ -34,7 +34,8 @@ from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, islice
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 __all__ = [
     "moebius",
@@ -568,9 +569,11 @@ def _tableau_walk(shape: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def syt_descent_counts(shape) -> dict:
+def syt_descent_counts(shape) -> Mapping[int, int]:
     """Number of standard tableaux of the shape per descent-set mask
-    (nonzero counts only), summed from _syt_table over the row of n.  A
+    (nonzero counts only), summed from _syt_table over the row of n, as a
+    read-only types.MappingProxyType: the memo is shared by every caller,
+    so none can change what the next one reads.  A
     shape whose table has more (row, mask) keys than WALK_LIMIT
     (_tableau_walk) is refused with ValueError before any work, so every
     shape with n <= 16 is admitted and none with n >= 20.  Cold, on a
@@ -586,7 +589,7 @@ def syt_descent_counts(shape) -> dict:
     for by_mask in _syt_table(shape).values():
         for mask, count in by_mask.items():
             counts[mask] = counts.get(mask, 0) + count
-    return counts
+    return MappingProxyType(counts)
 
 
 @lru_cache(maxsize=None)

@@ -505,6 +505,44 @@ def test_solver_checks_the_rotation_of_sets_containing_n():
     assert solve_extension_by_propagation(dist).reason == "conflicting-counts"
 
 
+def _orbit_constant(rng: random.Random, n: int) -> list:
+    """A random table over the masks of [n], constant on rotation orbits."""
+    c = [None] * (1 << n)
+    for j in range(1 << n):
+        v = rng.randrange(-2, 5)
+        k = j
+        while c[k] is None:
+            c[k] = v
+            k = rotate_subset(k, n)
+    return c
+
+
+def _mismatch_by_scan(c: list, n: int):
+    """The lowest J with c_J != c_(sh J), one rotate_subset per mask."""
+    return next((j for j in range(1 << n) if c[j] != c[rotate_subset(j, n)]), None)
+
+
+def test_rotation_mismatch_matches_a_per_mask_scan():
+    rng = random.Random(1710)
+    for n in range(1, 9):
+        top = 1 << (n - 1)
+        for _ in range(60):
+            c = _orbit_constant(rng, n)
+            assert cdes._rotation_mismatch(c) is None, c
+            for _ in range(rng.randint(1, 3)):
+                c[rng.randrange(1 << n)] += rng.choice((-1, 1))
+            assert cdes._rotation_mismatch(c) == _mismatch_by_scan(c, n), c
+        # a nudge at a proper set holding 1 and n breaks the steps into it
+        # and out of it, both from sets holding n: the halves without n agree
+        for k in range(top | 1, full_mask(n), 2):
+            c = _orbit_constant(rng, n)
+            c[k] += 1
+            lowest = _mismatch_by_scan(c, n)
+            assert lowest is not None and lowest & top, (n, k)
+            assert c[:top] == c[::2]
+            assert cdes._rotation_mismatch(c) == lowest, (n, k)
+
+
 def test_solver_pure_function():
     dist = descent_distribution((4,))
     a = solve_extension(dist)

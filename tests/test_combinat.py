@@ -21,7 +21,7 @@ from brute_force import (
 )
 
 import hooklie
-from hooklie import combinat
+from hooklie import cdes, combinat
 from hooklie.combinat import (
     cellini_descent_set,
     centralizer_order,
@@ -427,6 +427,19 @@ def test_syt_descent_counts_match_enumeration():
             assert syt_descent_counts(lam) == syt_descent_counts_by_enumeration(lam), lam
     with pytest.raises(ValueError):
         syt_descent_counts((1, 2))
+
+
+def test_syt_descent_counts_memo_is_read_only():
+    # every caller shares the memo, so a write into it would change what
+    # straight_ribbon_fiber((3,), {1}) reads for the rest of the process
+    counts = syt_descent_counts((2, 1))
+    try:
+        with pytest.raises(TypeError):
+            counts[1] = 99
+        assert syt_descent_counts((2, 1)) == {1: 1, 2: 1}
+        assert cdes.straight_ribbon_fiber((3,), 1) == 1
+    finally:
+        hooklie.clear_memos()
 
 
 def _no_table(shape):

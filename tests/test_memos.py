@@ -4,9 +4,11 @@ memos cold the closed hook route and its oracle can be seen to share only
 the helpers the lie docstring allows."""
 
 import sys
+from types import MappingProxyType
 
 import hooklie
 from hooklie import cdes, characters, cli, combinat, lie, series
+from hooklie.series import IntPolynomial
 
 MODULES = (combinat, series, characters, lie, cdes, cli)
 
@@ -92,6 +94,46 @@ def test_clear_memos_clears_only_loaded_modules(monkeypatch):
     monkeypatch.delitem(sys.modules, "hooklie.cli")
     hooklie.clear_memos()
     assert "hooklie.cli" not in sys.modules
+
+
+# one sample call per lru_cache, by the name _caches() gives it; the parser
+# is the one memo whose value is meant to be a live object
+SAMPLES = {
+    "hooklie.combinat._factor": lambda: combinat._factor(360),
+    "hooklie.combinat.divisors": lambda: combinat.divisors(360),
+    "hooklie.combinat.partition_list": lambda: combinat.partition_list(6),
+    "hooklie.combinat.syt_descent_counts": lambda: combinat.syt_descent_counts((3, 2, 1)),
+    "hooklie.combinat._kostka": lambda: combinat._kostka((3, 2), (2, 2, 1)),
+    "hooklie.characters._mn": lambda: characters._mn((3, 2, 1), (3, 2, 1)),
+    "hooklie.characters._h_plethysm": lambda: characters._h_plethysm(2, 3),
+    "hooklie.characters._frobenius": lambda: characters._frobenius((3, 2, 2, 1)),
+    "hooklie.characters._adams_factor": lambda: characters._adams_factor(6, 2),
+    "hooklie.characters._hook_factor": lambda: characters._hook_factor(2, 3),
+    "hooklie.characters._power_products": lambda: characters._power_products(6, 2),
+    "hooklie.characters._r_rows": lambda: characters._r_rows(6),
+    "hooklie.lie.witt_coeffs": lambda: lie.witt_coeffs(12),
+    "hooklie.cdes._composition_shapes": lambda: cdes._composition_shapes(6),
+    "hooklie.cdes._chunk_masks": lambda: cdes._chunk_masks(8),
+}
+
+
+def _immutable(value) -> bool:
+    """Whether no caller can change value, however deep it reads."""
+    if isinstance(value, (int, str, IntPolynomial)):
+        return True  # bool is an int; IntPolynomial holds a tuple of ints
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_immutable, value))
+    if isinstance(value, MappingProxyType):
+        return all(map(_immutable, value.keys())) and all(map(_immutable, value.values()))
+    return False
+
+
+def test_every_memo_hands_out_an_immutable_value():
+    # a memo's value is shared by every later caller, so a caller that
+    # could write into it would change what the others read
+    assert set(SAMPLES) == set(_caches()) - {"hooklie.cli.build_parser"}
+    mutable = sorted(name for name, call in SAMPLES.items() if not _immutable(call()))
+    assert not mutable, f"mutable memo values: {mutable}"
 
 
 # -- route and oracle independence -------------------------------------------
