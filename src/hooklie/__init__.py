@@ -14,6 +14,7 @@ series      integer polynomials (Kronecker products), truncated series in y
 characters  Murnaghan-Nakayama values, higher Lie characters by plethysm
 lie         hook multiplicities, generating series, square-free criterion
 cdes        descent fibers, cyclic extension solver and constructor
+suites      the verify suites, each with its bounds and its walks
 cli         command line front end (`hooklie`, or `python -m hooklie`)
 """
 

@@ -3,8 +3,8 @@ tableaux counted by descent set in one forward pass over sub-shapes that
 builds no tableau; Kostka numbers are read from those counts.
 
 WALK_LIMIT bounds the items any route of the package walks, and check_walk
-is the one comparison with it: every route, and every verify suite of the
-command line, passes it the number of items it would walk (subsets, class
+is the one comparison with it: every route, and the verify runner for each
+walk a suite declares, passes it the number of items to walk (subsets, class
 elements, (mask, shape) or (mask, submask) pairs, or the (row, mask) keys
 of a tableau table) and is refused with ValueError before any work when
 that is over the limit.  subset_walk, class_walk and ribbon_walk give the

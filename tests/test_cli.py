@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import hooklie
-from hooklie import cdes, cli, lie
+from hooklie import cdes, cli, lie, suites
 from hooklie.characters import character_value
 from hooklie.cli import build_parser, main, parse_partition, UsageError
 from hooklie.combinat import partition_list
@@ -35,8 +35,9 @@ def run_json(argv, capsys):
 def test_parse_partition():
     assert parse_partition("2,2,1") == (2, 2, 1)
     assert parse_partition("1, 2 ,3") == (3, 2, 1)
-    with pytest.raises(UsageError):
-        parse_partition("2,x")
+    for text in ("2,x", "2 1", "1 0"):  # a space inside a part joins no parts
+        with pytest.raises(UsageError):
+            parse_partition(text)
     with pytest.raises(UsageError):
         parse_partition("0,1")
     with pytest.raises(UsageError):
@@ -57,9 +58,10 @@ def test_unknown_suite_exits_2(capsys):
 
 
 def test_bad_partition_exits_2(capsys):
-    code, out, err = run(["construct", "2,x"], capsys)
-    assert code == 2
-    assert "error:" in err
+    for argv in (["construct", "2,x"], ["cellini", "2 1"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
 
 def test_oversized_class_exits_2(tmp_path, capsys):
@@ -107,12 +109,39 @@ def test_class_over_size_limit_exits_2(tmp_path, capsys):
 def test_verify_scan_over_walk_limit_exits_2_before_scanning(
     suite, n_max, route, monkeypatch, capsys
 ):
-    # a suite is a generator, so its refusals must come before its first
-    # yield: the route's first call would raise here
+    # the refusal comes before the scan: the route's first call would raise
     def no_work(*args, **kwargs):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(f"hooklie.{route}", no_work)
+    code, out, err = run(["verify", suite, "--n-max", n_max], capsys)
+    assert code == 2
+    assert out == ""
+    assert "walk limit" in err
+
+
+OVER_LIMIT = [
+    ("main-theorem", "19"),
+    ("cellini", "11"),
+    ("gr-fibers", "13"),
+    ("affine-fibers", "12"),
+    ("kw-identity", "19"),
+]
+
+
+# each cost saturates, so a huge bound is refused without building 2^n or 3^n
+@pytest.mark.parametrize(
+    "suite, n_max", OVER_LIMIT + [(suite, "100000000") for suite, _ in OVER_LIMIT]
+)
+def test_verify_refuses_from_the_declared_cost_before_any_suite_code(
+    suite, n_max, monkeypatch, capsys
+):
+    def run_suite(payload, **bounds):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(
+        suites.SUITES, suite, suites.SUITES[suite]._replace(run=run_suite)
+    )
     code, out, err = run(["verify", suite, "--n-max", n_max], capsys)
     assert code == 2
     assert out == ""
@@ -154,7 +183,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
         main(["hooks", "4", "2", "--n-max", "3"])
     assert exc.value.code == 2
     # each verify suite reads its own bounds, with these defaults
-    bounds = {name: defaults for name, (_, defaults) in cli.SUITES.items()}
+    bounds = {name: suite.bounds for name, suite in suites.SUITES.items()}
     assert bounds == {
         "main-theorem": {"n_max": 8},
         "squarefree": {"r_max": 30, "s_max": 5},
@@ -473,7 +502,7 @@ def test_verify_unimodality_builds_each_table_once(monkeypatch, capsys):
 def test_verify_unimodality_lists_counterexamples_in_ascending_order(
     monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "is_unimodal", lambda seq: False)
+    monkeypatch.setattr(suites, "is_unimodal", lambda seq: False)
     code, doc, _ = run_json(
         ["verify", "unimodality", "--r-max", "3", "--s-max", "3"], capsys
     )
@@ -529,7 +558,7 @@ def test_gr_fibers_mismatch_names_the_moved_masks(monkeypatch, capsys):
     assert code == 1
     failed = [a for a in doc["assertions"] if not a["passed"]]
     assert [a["name"] for a in failed] == ["descent-fibers-match-schur-expansion-n=4"]
-    named = [{"mu": list(mu), "J": cli.subset_list(mask)} for mask in sorted((src, dst))]
+    named = [{"mu": list(mu), "J": suites.subset_list(mask)} for mask in sorted((src, dst))]
     assert failed[0]["detail"] == f"{named}"
 
 

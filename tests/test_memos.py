@@ -7,15 +7,15 @@ import sys
 from types import MappingProxyType
 
 import hooklie
-from hooklie import cdes, characters, cli, combinat, lie, series
+from hooklie import cdes, characters, cli, combinat, lie, series, suites
 from hooklie.series import IntPolynomial
 
-MODULES = (combinat, series, characters, lie, cdes, cli)
+MODULES = (combinat, series, characters, lie, cdes, suites, cli)
 
 # the module-level mutable containers: the command line's registries, and
 # the one memo that is not an lru_cache (one column-row table per r)
 CONTAINERS = {
-    "cli.SUITES",
+    "suites.SUITES",
     "cli.RENDERERS",
     "cli.BOUNDS",
     "cli.COMMANDS",
@@ -24,7 +24,7 @@ CONTAINERS = {
 
 
 def _caches():
-    """{qualified name: function} for every lru_cache on the six modules."""
+    """{qualified name: function} for every lru_cache on the seven modules."""
     return {
         f"{value.__module__}.{value.__qualname__}": value
         for module in MODULES
