@@ -16,11 +16,7 @@ Neither computes a Des mask one element at a time.  The masks of the
 walked class (Cellini's, for cellini_closed) come from
 combinat._des_masks, which compares whole columns of a chunk of elements
 packed into 32-bit lanes, and check_axioms computes its own masks from
-the solution's elements the same way.  write_extension writes the dump as
-a token stream: per block of elements, columns of precomputed tokens
-interleaved by zip and joined once.  It keeps no per-class cache of
-formatted lines: only one block of text is alive at a time, where the
-lines of (9, 1) held whole peaked at 153.8 MiB.
+the solution's elements the same way.
 
 Every route here first passes combinat.check_walk the number of items it
 would walk, from combinat's subset_walk, class_walk or ribbon_walk, and is
@@ -58,10 +54,10 @@ import struct
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import and_, eq, lt, ne, sub
 from types import MappingProxyType
-from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import characters
 from .combinat import (
@@ -94,7 +90,6 @@ __all__ = [
     "cyclic_composition",
     "affine_ribbon_fiber",
     "straight_ribbon_fiber",
-    "write_extension",
 ]
 
 
@@ -129,7 +124,6 @@ class Infeasible(NamedTuple):
 
     reason: str
     subset: Optional[Tuple[int, ...]] = None
-    note: str = ""
 
     def count(self, mask: int) -> int:
         """Refused: there are no cDes fibers to count (not tuple.count)."""
@@ -359,15 +353,6 @@ def solve_extension(dist: DescentDistribution) -> Union[FiberSolution, Infeasibl
     return FiberSolution(n, tuple(c))
 
 
-def _escher_note(mu: Tuple[int, ...]) -> str:
-    if all(p == mu[0] for p in mu) and mu[0] in (1, 2) and sum(mu) > 1:
-        return (
-            "Escher-type degeneration: this class only supports a cyclic "
-            "descent set that is empty or all of [n]"
-        )
-    return ""
-
-
 def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     """Explicit cyclic extension of Des on the class of mu, or Infeasible.
 
@@ -378,7 +363,7 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     return; the results ride along as the solution's axioms.  A class
     with more than WALK_LIMIT elements, or of S_n with more than WALK_LIMIT
     subsets of [n] to solve over, is refused with ValueError up front.
-    write_extension dumps the result.
+    The construct command dumps the result (cli.write_extension).
     """
     mu = check_class_type(mu)
     n = sum(mu)
@@ -391,8 +376,7 @@ def construct_extension(mu) -> Union[CyclicExtensionSolution, Infeasible]:
     table = tuple(counts[d] for d in range(top))
     sol = solve_extension(_checked_distribution(mu, table, class_size(mu)))
     if isinstance(sol, Infeasible):
-        note = _escher_note(mu)
-        return Infeasible(sol.reason, sol.subset, note) if note else sol
+        return sol
     head = list(sol.table[top:])  # c_(D u {n}): left to get n, per D
     cdes = []
     for d in des:
@@ -543,94 +527,3 @@ def straight_ribbon_fiber(mu, mask: int) -> int:
     if mask < 0 or mask >> (n - 1):
         raise ValueError("J must be a subset of [n-1]")
     return _straight_fibers(mu).table[mask]
-
-
-# An element record as json.dump(..., sort_keys=True, indent=1) lays it out
-# inside a top-level list, keys at depth 3 and list items at depth 4, cut
-# into tokens: the head up to the first entry of "one_line", one token per
-# entry (the first without a separator), _MID from the last entry of
-# "one_line" to the first of "p_image", and _END.  Every head starts with
-# the ",\n" that separates it from the record before it.
-_HEAD = ',\n  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": [\n    '
-_SEP = ",\n    "
-_MID = '\n   ],\n   "p_image": [\n    '
-_END = "\n   ]\n  }"
-_FIBER = '  {\n   "count": %d,\n   "subset": %s\n  }'
-# Element records joined per write: a block is at most 81 KB on (9, 1), the
-# largest class admitted, and a record at most 612 characters at n = 18.
-_BLOCK = 256
-
-
-def _int_list(values, depth: int = 3, indent: int = 1) -> str:
-    """An int list as json.dump(..., indent=indent) lays it out as the value
-    of a key at depth `depth` (the dump's element lists by default)."""
-    if not values:
-        return "[]"
-    pad = "\n" + " " * (depth * indent)
-    item = pad + " " * indent
-    return "[" + item + ("," + item).join(map(str, values)) + pad + "]"
-
-
-def write_extension(sol: CyclicExtensionSolution, fh: TextIO) -> List[dict]:
-    """Write the dump of a constructed extension to the text stream fh and
-    return its fiber table.
-
-    The bytes written are exactly those of
-    json.dump(doc, fh, sort_keys=True, indent=1) with doc = {"elements",
-    "fibers", "mu", "n"}: "elements" holds one record {"cdes", "des",
-    "one_line", "p_image"} (int lists) per class element in the order of
-    sol.elements, which construct_extension makes lexicographic, and
-    "fibers" the nonzero fiber sizes {"count", "subset"} in mask order.  So
-    the format is byte-stable: the same class always gives the same bytes.
-    des is cDes without n, which the "extension" axiom checked against the
-    Des mask of every element.
-
-    The records are a token stream.  Built once per call: one head string
-    per cDes mask that occurs (its "cdes" and "des" lists), and two tables
-    from an entry 1..n to its token, one for the first entry of a list and
-    one, with the separator, for the others.  Each block of _BLOCK elements
-    is cut into columns by zip(*block), and the images under p likewise;
-    map(table.__getitem__, column) turns a column into tokens, and
-    zip(heads, *columns, repeat(_MID), *image_columns, repeat(_END))
-    interleaves them record by record for one join.  So no Python code runs
-    per element or per entry, and only one block of text is alive at a
-    time: the dump never sits in memory whole.  Formatting each distinct
-    record once per class would not save that: the lines of (9, 1) alone
-    held a 153.8 MiB peak.  The entries must be in [n], as in every
-    solution construct_extension returns.
-    """
-    n = sol.n
-    top = 1 << (n - 1)
-    # the list of each cDes mask and of its Des mask, shared by the heads
-    # and the fiber rows: at most 2^n masks against n!/z elements
-    masks = set(sol.cdes)
-    lists = {j: _int_list(subset_elements(j)) for j in masks | {j & ~top for j in masks}}
-    heads = {j: _HEAD % (lists[j], lists[j & ~top]) for j in masks}
-    first = list(map(str, range(n + 1)))  # entry v at index v; 0 is unused
-    later = [_SEP + token for token in first]
-    tables = [first.__getitem__] + [later.__getitem__] * (n - 1)
-    elements, cdes, p = sol.elements, sol.cdes, sol.p
-    fh.write('{\n "elements": [')
-    for start in range(0, len(elements), _BLOCK):
-        stop = start + _BLOCK
-        columns = map(map, tables, zip(*elements[start:stop]))
-        images = map(map, tables, zip(*map(elements.__getitem__, p[start:stop])))
-        records = zip(
-            map(heads.__getitem__, cdes[start:stop]),
-            *columns,
-            repeat(_MID),
-            *images,
-            repeat(_END),
-        )
-        text = "".join(chain.from_iterable(records))
-        fh.write(text[1:] if start == 0 else text)  # no "," before the first
-    fh.write("\n ]" if elements else "]")  # no element: "elements": []
-    counts = sol.fibers.counts.items()
-    rows = ",\n".join(
-        _FIBER % (c, lists.get(j) or _int_list(subset_elements(j))) for j, c in counts
-    )
-    fh.write(
-        ',\n "fibers": [%s],\n "mu": %s,\n "n": %d\n}'
-        % ("\n" + rows + "\n " if rows else "", _int_list(sol.mu, 1), sol.n)
-    )
-    return [{"subset": list(subset_elements(j)), "count": c} for j, c in counts]

@@ -8,6 +8,10 @@ Exit codes: 0 all assertions passed, 1 an assertion failed (including an
 exactness check that raised ArithmeticError), 2 usage errors, including
 every ValueError the library raises on a bad input and any input that
 would walk more than combinat.WALK_LIMIT items.
+
+Every byte of the construct dump is written here: write_extension lays it
+out, cmd_construct opens it, adds its last newline and removes a partial
+write, and _fiber_table lays out the fiber rows of the dump and the report.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import os
 import sys
 import time
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterator, List, TextIO, Tuple
 
 from . import cdes, lie, suites
-from .combinat import check_walk, moebius
+from .combinat import check_walk, moebius, subset_elements
 from .series import IntPolynomial
 
 
@@ -60,21 +65,118 @@ def poly_table(p: IntPolynomial) -> list:
     return coeff_table(p.coeffs)
 
 
-# The construct report's fiber table as json.dumps(doc, sort_keys=True,
-# indent=2) lays it out: the "fibers" key at depth 2, its records at depth 3,
-# their keys at depth 4 and the subset entries at depth 5.  A json string
-# never holds a raw newline, so _FIBERS_KEY can only be a key of a depth-1
-# dict, and of those only the payload has a "fibers" key.
+def _int_list(values, depth: int, indent: int) -> str:
+    """An int list as json.dump(..., indent=indent) lays it out as the value
+    of a key at depth `depth`."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (depth * indent)
+    item = pad + " " * indent
+    return "[" + item + ("," + item).join(map(str, values)) + pad + "]"
+
+
+def _fiber_table(rows, depth: int, indent: int) -> str:
+    """(count, _int_list(subset, depth + 1, indent)) pairs as json.dump(...,
+    sort_keys=True, indent=indent) lays out records {"count", "subset"} in a
+    list at depth `depth`: the dump's fiber table at depth 2, indent 1, and
+    the construct report's at depth 3, indent 2."""
+    pad = "\n" + " " * (depth * indent)
+    key = pad + " " * indent
+    row = pad + "{" + key + '"count": %d,' + key + '"subset": %s' + pad + "}"
+    text = ",".join(map(row.__mod__, rows))
+    return "[" + text + pad[:-indent] + "]" if text else "[]"
+
+
+# An element record of the dump as json.dump(..., sort_keys=True, indent=1)
+# lays it out inside a top-level list, keys at depth 3 and list items at
+# depth 4, cut into tokens: the head up to the first entry of "one_line",
+# one token per entry (the first without a separator), _MID from the last
+# entry of "one_line" to the first of "p_image", and _END.  Every head
+# starts with the ",\n" that separates it from the record before it.
+_HEAD = ',\n  {\n   "cdes": %s,\n   "des": %s,\n   "one_line": [\n    '
+_SEP = ",\n    "
+_MID = '\n   ],\n   "p_image": [\n    '
+_END = "\n   ]\n  }"
+# Element records joined per write: a block is at most 81 KB on (9, 1), the
+# largest class admitted, and a record at most 612 characters at n = 18.
+_BLOCK = 256
+
+
+def write_extension(sol: cdes.CyclicExtensionSolution, fh: TextIO) -> None:
+    """Write the dump of a constructed extension to the text stream fh.
+
+    The bytes written are exactly those of
+    json.dump(doc, fh, sort_keys=True, indent=1) with doc = {"elements",
+    "fibers", "mu", "n"}: "elements" holds one record {"cdes", "des",
+    "one_line", "p_image"} (int lists) per class element in the order of
+    sol.elements, which construct_extension makes lexicographic, and
+    "fibers" the nonzero fiber sizes {"count", "subset"} in mask order.  So
+    the format is byte-stable: the same class always gives the same bytes.
+    des is cDes without n, which the "extension" axiom checked against the
+    Des mask of every element.
+
+    The records are a token stream.  Built once per call: one head string
+    per cDes mask that occurs (its "cdes" and "des" lists), and two tables
+    from an entry 1..n to its token, one for the first entry of a list and
+    one, with the separator, for the others.  Each block of _BLOCK elements
+    is cut into columns by zip(*block), and the images under p likewise;
+    map(table.__getitem__, column) turns a column into tokens, and
+    zip(heads, *columns, repeat(_MID), *image_columns, repeat(_END))
+    interleaves them record by record for one join.  So no Python code runs
+    per element or per entry, and only one block of text is alive at a
+    time: the dump never sits in memory whole.  Formatting each distinct
+    record once per class would not save that: the lines of (9, 1) alone
+    held a 153.8 MiB peak.  The entries must be in [n], as in every
+    solution construct_extension returns.
+    """
+    n = sol.n
+    top = 1 << (n - 1)
+    counts = sol.fibers.counts
+    # the lists of the cDes masks, their Des masks and the fiber masks, for
+    # the heads and the fiber rows: at most 2^n masks against n!/z elements
+    masks = set(sol.cdes)
+    subsets = masks | {j & ~top for j in masks} | counts.keys()
+    lists = {j: _int_list(subset_elements(j), 3, 1) for j in subsets}
+    heads = {j: _HEAD % (lists[j], lists[j & ~top]) for j in masks}
+    first = list(map(str, range(n + 1)))  # entry v at index v; 0 is unused
+    later = [_SEP + token for token in first]
+    tables = [first.__getitem__] + [later.__getitem__] * (n - 1)
+    elements, p = sol.elements, sol.p
+    fh.write('{\n "elements": [')
+    for start in range(0, len(elements), _BLOCK):
+        stop = start + _BLOCK
+        columns = map(map, tables, zip(*elements[start:stop]))
+        images = map(map, tables, zip(*map(elements.__getitem__, p[start:stop])))
+        records = zip(
+            map(heads.__getitem__, sol.cdes[start:stop]),
+            *columns,
+            repeat(_MID),
+            *images,
+            repeat(_END),
+        )
+        text = "".join(chain.from_iterable(records))
+        fh.write(text[1:] if start == 0 else text)  # no "," before the first
+    fh.write("\n ]" if elements else "]")  # no element: "elements": []
+    rows = ((c, lists[j]) for j, c in counts.items())
+    fh.write(
+        ',\n "fibers": %s,\n "mu": %s,\n "n": %d\n}'
+        % (_fiber_table(rows, 2, 1), _int_list(sol.mu, 1, 1), n)
+    )
+
+
+# The construct report's "fibers" key as json.dumps(doc, sort_keys=True,
+# indent=2) lays it out, at depth 2.  A json string never holds a raw
+# newline, so _FIBERS_KEY can only be a key of a depth-1 dict, and of those
+# only the payload has a "fibers" key.
 _FIBERS_KEY = '\n    "fibers": '
-_FIBER_ROW = '      {\n        "count": %d,\n        "subset": %s\n      }'
 
 
 def render_json(report: Report) -> str:
     """The report as json.dumps(doc, sort_keys=True, indent=2), byte for byte.
 
     json's indent encoder is pure Python, so the construct report's fiber
-    table (up to 2^n records) is filled into a template instead and spliced
-    in where json wrote an empty one.
+    table (up to 2^n records) is laid out by _fiber_table instead and
+    spliced in where json wrote an empty one.
     """
     doc = {
         "command": report.command,
@@ -89,11 +191,8 @@ def render_json(report: Report) -> str:
     doc["payload"] = dict(report.payload, fibers=[])
     text = json.dumps(doc, sort_keys=True, indent=2)
     head, _, rest = text.partition(_FIBERS_KEY + "[]")
-    rows = ",\n".join(
-        _FIBER_ROW % (row["count"], cdes._int_list(row["subset"], 4, 2))
-        for row in fibers
-    )
-    return "".join((head, _FIBERS_KEY, "[\n", rows, "\n    ]", rest))
+    rows = ((row["count"], _int_list(row["subset"], 4, 2)) for row in fibers)
+    return "".join((head, _FIBERS_KEY, _fiber_table(rows, 3, 2), rest))
 
 
 def _leaves(value, path: tuple = ()) -> Iterator[tuple]:
@@ -157,11 +256,12 @@ RENDERERS: Dict[str, Callable[[Report], str]] = {
 
 
 def parse_partition(text: str) -> Tuple[int, ...]:
-    try:
-        # int() strips the spaces around a part but refuses one inside it
-        parts = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
+    # a part is ASCII digits with spaces around it: not "1_0", "+3", a
+    # non-ASCII digit or a space inside, which int() would read as a number
+    words = [p.strip() for p in text.split(",") if p.strip()]
+    if not all(w.isascii() and w.isdigit() for w in words):
         raise UsageError(f"cannot parse partition {text!r}")
+    parts = tuple(map(int, words))
     if not parts or any(p < 1 for p in parts):
         raise UsageError(f"partition parts must be positive: {text!r}")
     return tuple(sorted(parts, reverse=True))
@@ -248,6 +348,10 @@ def cmd_cellini(args) -> Report:
     return report
 
 
+_ESCHER_NOTE = ("Escher-type degeneration: this class only supports a cyclic "
+                "descent set that is empty or all of [n]")
+
+
 def cmd_construct(args) -> Report:
     mu = parse_partition(args.mu)
     report = Report("construct", {"mu": list(mu)}, {})
@@ -268,8 +372,8 @@ def cmd_construct(args) -> Report:
             "reason": sol.reason,
             "subset": list(sol.subset) if sol.subset else None,
         }
-        if sol.note:
-            payload["note"] = sol.note
+        if len(set(mu)) == 1 and mu[0] <= 2 and sum(mu) > 1:  # (1^n), n >= 2, or (2^k)
+            payload["note"] = _ESCHER_NOTE
         cert = lie.extension_certificate(mu)
         if isinstance(cert, lie.NoExtension):
             payload["certificate_violation"] = no_extension_payload(cert)
@@ -279,7 +383,7 @@ def cmd_construct(args) -> Report:
         fh = open(out_path, "w", encoding="ascii")
         try:
             with fh:
-                fibers = cdes.write_extension(sol, fh)
+                write_extension(sol, fh)
                 fh.write("\n")
         except OSError:
             # no truncated dump is left behind; a link or a device such as
@@ -289,11 +393,12 @@ def cmd_construct(args) -> Report:
             raise
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}")
+    counts = sol.fibers.counts.items()
     report.payload.update(
         {
             "feasible": True,
             "class_size": len(sol.elements),
-            "fibers": fibers,
+            "fibers": [{"subset": list(subset_elements(j)), "count": c} for j, c in counts],
             "dump": out_path,
         }
     )

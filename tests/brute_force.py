@@ -50,7 +50,7 @@ pass of hooklie.cdes.solve_extension, which starts from c_[n] = 0.
 
 extension_records builds the document of a construct dump as a dict, with
 des recomputed from each permutation; json.dumps of it with sort_keys=True
-and indent=1 is the reference for the streaming hooklie.cdes.write_extension.
+and indent=1 is the reference for the streaming hooklie.cli.write_extension.
 
 schoolbook_mul multiplies coefficient by coefficient; it is the reference
 for the Kronecker-substitution product of hooklie.series.IntPolynomial.

@@ -35,7 +35,13 @@ def run_json(argv, capsys):
 def test_parse_partition():
     assert parse_partition("2,2,1") == (2, 2, 1)
     assert parse_partition("1, 2 ,3") == (3, 2, 1)
+    assert parse_partition(" 3 ") == (3,)
+    assert parse_partition("2,,1") == (2, 1)
     for text in ("2,x", "2 1", "1 0"):  # a space inside a part joins no parts
+        with pytest.raises(UsageError):
+            parse_partition(text)
+    # a part is ASCII digits: int() would read these as 10, 3 and 3
+    for text in ("1_0", "\u0663", "+3"):
         with pytest.raises(UsageError):
             parse_partition(text)
     with pytest.raises(UsageError):
@@ -58,7 +64,7 @@ def test_unknown_suite_exits_2(capsys):
 
 
 def test_bad_partition_exits_2(capsys):
-    for argv in (["construct", "2,x"], ["cellini", "2 1"]):
+    for argv in (["construct", "2,x"], ["cellini", "2 1"], ["construct", "1_0"]):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert "error:" in err
@@ -734,11 +740,16 @@ def test_construct_reports_render_as_json_dumps(tmp_path):
             reports.append(cli.cmd_construct(build_parser().parse_args(argv)))
     argv = ["construct", "3,1", "--output", paths[1]]
     reports.append(cli.cmd_construct(build_parser().parse_args(argv)))
-    assert len(reports) == 67
+    # n = 10: subsets that hold the two-digit entry 10
+    argv = ["construct", "2" + ",1" * 8, "--output", paths[0]]
+    reports.append(cli.cmd_construct(build_parser().parse_args(argv)))
+    assert len(reports) == 68
     # the 49 feasible classes of n <= 8, not rectangles with a square-free
-    # part, and (3,1) again
-    assert sum("fibers" in r.payload for r in reports) == 50
-    assert reports[-1].payload["dump"] == paths[1]
+    # part, (3,1) again and (2,1^8)
+    assert sum("fibers" in r.payload for r in reports) == 51
+    assert reports[-2].payload["dump"] == paths[1]
+    assert reports[-1].payload["class_size"] == 45
+    assert any(10 in row["subset"] for row in reports[-1].payload["fibers"])
     for report in reports:
         doc = {
             "command": report.command,
@@ -758,7 +769,7 @@ def test_failed_dump_write_leaves_no_file(tmp_path, capsys, monkeypatch):
         fh.flush()
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cdes, "write_extension", write_extension)
+    monkeypatch.setattr(cli, "write_extension", write_extension)
     out_file = tmp_path / "ext.json"
     out_file.write_text("an earlier dump\n")
     code, out, err = run(["construct", "3,1", "--output", str(out_file)], capsys)
@@ -774,7 +785,7 @@ def test_failed_dump_write_keeps_a_link_to_a_device(tmp_path, capsys, monkeypatc
     def write_extension(sol, fh):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
-    monkeypatch.setattr(cdes, "write_extension", write_extension)
+    monkeypatch.setattr(cli, "write_extension", write_extension)
     link = tmp_path / "out"
     link.symlink_to(os.devnull)
     code, out, err = run(["construct", "3,1", "--output", str(link)], capsys)
@@ -796,9 +807,16 @@ def test_construct_infeasible_reports_reason(tmp_path, capsys):
 
 
 def test_construct_escher_note(capsys):
-    code, doc, _ = run_json(["construct", "2,2"], capsys)
+    # (1^n) with n >= 2 and (2^k) get the note; another infeasible class not
+    for mu in ("2,2", "1,1,1"):
+        code, doc, _ = run_json(["construct", mu], capsys)
+        assert code == 0
+        assert doc["payload"]["feasible"] is False
+        assert "Escher" in doc["payload"]["note"]
+    code, doc, _ = run_json(["construct", "3"], capsys)
     assert code == 0
-    assert "Escher" in doc["payload"]["note"]
+    assert doc["payload"]["feasible"] is False
+    assert "note" not in doc["payload"]
 
 
 # -- module runs -------------------------------------------------------------

@@ -121,7 +121,6 @@ PINNED = {
         "cyclic_composition",
         "affine_ribbon_fiber",
         "straight_ribbon_fiber",
-        "write_extension",
     },
 }
 

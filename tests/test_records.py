@@ -44,10 +44,10 @@ def test_records_are_named_tuples_except_no_extension():
 
 def test_infeasible_equality_and_repr():
     a = cdes.Infeasible("negative-count", (1, 3))
-    assert a == cdes.Infeasible("negative-count", (1, 3), "")
-    assert a != cdes.Infeasible("negative-count", (1, 3), "a note")
+    assert a == cdes.Infeasible("negative-count", (1, 3))
+    assert a != cdes.Infeasible("negative-count", (1,))
     assert a != cdes.Infeasible("conflicting-counts", (1, 3))
-    assert repr(a) == "Infeasible(reason='negative-count', subset=(1, 3), note='')"
+    assert repr(a) == "Infeasible(reason='negative-count', subset=(1, 3))"
 
 
 def test_no_extension_equality_hash_and_repr():
