@@ -28,7 +28,7 @@ from brute_force import (
     solve_extension_by_propagation,
 )
 
-from hooklie import cdes, characters, combinat
+from hooklie import cdes, characters, cli, combinat
 from hooklie.cdes import (
     CyclicExtensionSolution,
     DescentDistribution,
@@ -663,6 +663,25 @@ def test_construct_p_map_shifts_cdes():
         assert sorted(sol.p) == list(range(len(sol.elements)))
         for i, image in enumerate(sol.p):
             assert sol.cdes[image] == rotate_subset(sol.cdes[i], n)
+
+
+def test_construct_infeasible_escher_note(tmp_path):
+    # Infeasible carries only the solver's verdict; the construct report
+    # adds the Escher note for (1^n), n >= 2, and (2^k), and for no other class
+    out = str(tmp_path / "unused.json")
+    for mu, escher in [((2, 2), True), ((1, 1, 1), True), ((3,), False)]:
+        sol = construct_extension(mu)
+        assert isinstance(sol, Infeasible)
+        assert sol._fields == ("reason", "subset")
+        argv = ["construct", ",".join(map(str, mu)), "--output", out]
+        report = cli.cmd_construct(cli.build_parser().parse_args(argv))
+        assert report.payload["feasible"] is False
+        assert report.payload["reason"] == sol.reason
+        if escher:
+            assert "Escher" in report.payload["note"]
+        else:
+            assert "note" not in report.payload
+    assert not (tmp_path / "unused.json").exists()
 
 
 def _dump(sol) -> str:
